@@ -77,12 +77,21 @@ def _write_output(args, text: str) -> None:
             handle.write(text)
 
 
+def _target_header(text: str):
+    """(q, d, k) of a compact target header, or None for an explicit target."""
+    if not text.lstrip().startswith("{"):
+        return None
+    header = json.loads(text)
+    for key in "qdk":
+        if type(header[key]) is not int:
+            raise ValueError(f"target header {key} must be an integer, got {header[key]!r}")
+    return header["q"], header["d"], header["k"]
+
+
 def _load_target(path: str):
     text = _read(path)
-    if text.lstrip().startswith("{"):
-        header = json.loads(text)
-        return build_universal(int(header["q"]), int(header["d"]), int(header["k"]))
-    return parse_edge_colored(text)
+    header = _target_header(text)
+    return parse_edge_colored(text) if header is None else build_universal(*header)
 
 
 def _cmd_density(args) -> int:
@@ -188,11 +197,10 @@ def _cmd_map(args) -> int:
     graph = source.graph
     k = source.k
     if args.target:
-        text = _read(args.target)
-        if not text.lstrip().startswith("{"):
+        header = _target_header(_read(args.target))
+        if header is None:
             raise ValueError("map needs a compact target header file (JSON with q, d, k)")
-        header = json.loads(text)
-        q, d, tk = int(header["q"]), int(header["d"]), int(header["k"])
+        q, d, tk = header
         if tk != k:
             raise ValueError(f"target palette k={tk} does not match source k={k}")
         try:

@@ -1,10 +1,10 @@
 """Exact maximum subgraph density and bounded in-degree orientations.
 
 The density of a graph is the maximum of |E'| / |V'| over its nonempty
-subgraphs. It is computed exactly: a binary search over rational thresholds,
-each decided by an integer max-flow feasibility network, narrows the value
-down to an interval containing a single rational with denominator at most n,
-and a final min cut extracts the (unique maximal) witness vertex set.
+subgraphs. It is computed exactly by Dinkelbach's iteration: from the ratio
+m/n, an integer max-flow either saturates, proving the ratio optimal, or its
+min cut is a subgraph of strictly larger ratio, the next guess. The maximal
+min cut of the last flow is the witness, the union of all densest sets.
 
 An orientation with in-degree at most d exists exactly when no subgraph has
 more than d edges per vertex. A saturating flow on the edge/vertex network
@@ -100,14 +100,17 @@ class _Dinic:
                 flow += pushed
         return flow
 
-    def source_side(self, s: int) -> set:
-        """Residual-reachable nodes after max_flow; the source side of a min cut."""
-        seen = {s}
-        queue = deque([s])
+    def reach(self, start: int, backward: bool = False) -> set:
+        """Nodes reachable from start in the residual network, or with backward
+        the nodes that can reach it. After max_flow, reach(source) is the source
+        side of the minimal min cut and the complement of reach(sink, True) the
+        source side of the maximal one."""
+        seen = {start}
+        queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v, cap, _ in self.adj[u]:
-                if cap > 0 and v not in seen:
+            for v, cap, rev in self.adj[u]:
+                if (self.adj[v][rev][1] if backward else cap) > 0 and v not in seen:
                     seen.add(v)
                     queue.append(v)
         return seen
@@ -135,16 +138,8 @@ def _density_network(graph: Graph, bound: Fraction) -> tuple[int, _Dinic]:
     return flow, net
 
 
-def _exceeds(graph: Graph, bound: Fraction) -> bool:
-    flow, _ = _density_network(graph, bound)
-    return flow < graph.m * bound.denominator
-
-
-def _witness_at(graph: Graph, bound: Fraction) -> list[int]:
-    _, net = _density_network(graph, bound)
-    side = net.source_side(0)
-    m = graph.m
-    return sorted(v for v in range(graph.n) if (1 + m + v) in side)
+def _edges_within(graph: Graph, inside: set) -> int:
+    return sum(1 for u, v in graph.edges if u in inside and v in inside)
 
 
 def densest_subgraph(graph: Graph) -> Density:
@@ -156,30 +151,21 @@ def densest_subgraph(graph: Graph) -> Density:
     n, m = graph.n, graph.m
     if m == 0:
         return Density(Fraction(0), (0,))
-    lo, hi = Fraction(0), Fraction(m)
-    gap = Fraction(1, n * n)
-    while hi - lo > gap:
-        mid = (lo + hi) / 2
-        if _exceeds(graph, mid):
-            lo = mid
-        else:
-            hi = mid
-    # the interval (lo, hi] now contains exactly one fraction p/q with q <= n
-    candidates = set()
-    for den in range(1, n + 1):
-        num = (hi.numerator * den) // hi.denominator
-        cand = Fraction(num, den)
-        if lo < cand <= hi:
-            candidates.add(cand)
-    if len(candidates) != 1:
-        raise AssertionError(f"density isolation failed: {sorted(candidates)}")
-    value = candidates.pop()
-    # slightly below the optimum every maximum-density set strictly improves
-    # the cut, so the source side is the maximal witness
-    witness = _witness_at(graph, value - Fraction(1, 2 * n * n))
-    inside = set(witness)
-    edges_in = sum(1 for u, v in graph.edges if u in inside and v in inside)
-    if not witness or Fraction(edges_in, len(witness)) != value:
+    value = Fraction(m, n)
+    while True:
+        flow, net = _density_network(graph, value)
+        if flow == m * value.denominator:
+            break
+        # the source side of the min cut beats value; its ratio is the next guess
+        side = net.reach(0)
+        inside = {v for v in range(n) if (1 + m + v) in side}
+        del net, side  # hold one network at a time
+        value = Fraction(_edges_within(graph, inside), len(inside))
+    # every densest set is a min cut at the density; the maximal min cut, all
+    # nodes cut off from the sink, is their union
+    to_sink = net.reach(1 + m + n, backward=True)
+    witness = [v for v in range(n) if (1 + m + v) not in to_sink]
+    if not witness or Fraction(_edges_within(graph, set(witness)), len(witness)) != value:
         raise AssertionError("density witness mismatch")
     return Density(value, tuple(witness))
 
@@ -210,11 +196,9 @@ def find_orientation(graph: Graph, d: int) -> OrientedGraph:
         net.add_edge(1 + m + v, sink, d)
     flow = net.max_flow(src, sink)
     if flow < m:
-        side = net.source_side(src)
+        side = net.reach(src)
         witness = tuple(sorted(v for v in range(n) if (1 + m + v) in side))
-        inside = set(witness)
-        edges_in = sum(1 for u, v in graph.edges if u in inside and v in inside)
-        if edges_in <= d * len(witness):
+        if _edges_within(graph, set(witness)) <= d * len(witness):
             raise AssertionError("infeasibility witness mismatch")
         raise OrientationInfeasible(d, witness)
     direction = {}

@@ -154,9 +154,6 @@ class UniversalTarget:
                 raise AssertionError("vertex enumeration disagrees with the closed form")
         return self._vertices
 
-    def edge_color_ids(self, a: int, b: int) -> int:
-        return edge_color(self.unrank(a), self.unrank(b))
-
     def to_edge_colored_graph(self, vertex_guard: int = 1000) -> EdgeColoredGraph:
         """Explicit complete edge-colored graph; only sensible for small targets."""
         if self.vertex_count > vertex_guard:

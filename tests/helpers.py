@@ -117,6 +117,17 @@ def brute_density(graph: Graph) -> Fraction:
     return best
 
 
+def brute_witness(graph: Graph) -> tuple:
+    """Union of every nonempty vertex subset whose ratio equals brute_density."""
+    best = brute_density(graph)
+    union = set()
+    for size in range(1, graph.n + 1):
+        for subset in itertools.combinations(range(graph.n), size):
+            if Fraction(edges_within(graph, subset), size) == best:
+                union.update(subset)
+    return tuple(sorted(union))
+
+
 def orientation_exists_bruteforce(graph: Graph, d: int) -> bool:
     """Complete search over edge head assignments with in-degree pruning."""
     edges = graph.sorted_edges

@@ -140,6 +140,26 @@ def test_verify_rejects_corrupted_homomorphism(tmp_path, capsys):
     assert verdict == {"verified": False}
 
 
+@pytest.mark.parametrize("value", [[1], True, 2.5, "2"], ids=["list", "bool", "float", "string"])
+@pytest.mark.parametrize("key", ["q", "d", "k"])
+@pytest.mark.parametrize("command", ["verify", "map"])
+def test_malformed_target_header_exits_two(tmp_path, capsys, command, key, value):
+    src = tmp_path / "tri.ecg"
+    src.write_text(TRIANGLE_ECG)
+    hom_file = tmp_path / "tri.hom"
+    hom_file.write_text("0 0\n1 1\n2 2\n")
+    target_file = tmp_path / "target.json"
+    target_file.write_text(json.dumps({"q": 6, "d": 2, "k": 2, key: value}))
+    if command == "verify":
+        argv = ["verify", str(src), str(target_file), str(hom_file)]
+    else:
+        argv = ["map", str(src), "--target", str(target_file)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"target header {key} must be an integer" in captured.err
+
+
 def test_check_universal_commands(tmp_path, capsys):
     graph_file = tmp_path / "k2.g"
     graph_file.write_text(K2)

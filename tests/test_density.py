@@ -8,6 +8,7 @@ from conftest import graphs
 from ectarget.coloring import verify_acyclic
 from ectarget.density import (
     OrientationInfeasible,
+    _Dinic,
     densest_subgraph,
     find_orientation,
     min_orientation,
@@ -16,12 +17,15 @@ from ectarget.density import (
 from ectarget.graphs import Graph, VertexColoring
 from helpers import (
     brute_density,
+    brute_witness,
     clique,
     cycle,
     edges_within,
+    grid,
     orientation_exists_bruteforce,
     path,
     random_graph,
+    stacked_triangulation,
 )
 
 
@@ -76,6 +80,55 @@ def test_density_matches_bruteforce(g):
     dens = densest_subgraph(g)
     assert dens.value == brute_density(g)
     assert Fraction(edges_within(g, dens.witness), len(dens.witness)) == dens.value
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=150)
+def test_density_witness_is_union_of_all_densest_sets(g):
+    # edgeless graphs are witnessed by vertex 0 alone by convention
+    expected = brute_witness(g) if g.m else (0,)
+    assert densest_subgraph(g).witness == expected
+
+
+def densest_with_flow_count(graph):
+    """densest_subgraph(graph) and the number of max-flows it ran."""
+    calls = []
+    max_flow = _Dinic.max_flow
+
+    def counted(net, s, t):
+        calls.append((s, t))
+        return max_flow(net, s, t)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Dinic, "max_flow", counted)
+        dens = densest_subgraph(graph)
+    return dens, len(calls)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [stacked_triangulation(300, 1), grid(10, 10), clique(7)],
+    ids=["triangulation-300", "grid-10x10", "clique-7"],
+)
+def test_density_takes_one_flow_when_the_whole_graph_is_densest(graph):
+    dens, flows = densest_with_flow_count(graph)
+    assert dens.value == Fraction(graph.m, graph.n)
+    assert flows == 1
+
+
+def test_density_takes_few_flows_on_a_planted_clique():
+    edges = set(stacked_triangulation(260, 1).edges) | set(clique(20).edges)
+    dens, flows = densest_with_flow_count(Graph(260, edges))
+    assert dens.value == Fraction(19, 2)
+    assert dens.witness == tuple(range(20))
+    assert flows <= 3
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=100)
+def test_density_flow_count_at_most_n_plus_one(g):
+    _, flows = densest_with_flow_count(g)
+    assert flows <= g.n + 1
 
 
 def test_orientation_c5_in_degree_one():
