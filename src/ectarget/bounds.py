@@ -64,16 +64,17 @@ class BoundReport:
     parameters: dict
     notes: dict
 
+    def to_dict(self) -> dict:
+        """The report with both bounds as decimal strings."""
+        return {
+            "lower": str(self.lower),
+            "upper": str(self.upper),
+            "parameters": self.parameters,
+            "notes": self.notes,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lower": str(self.lower),
-                "upper": str(self.upper),
-                "parameters": self.parameters,
-                "notes": self.notes,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def universal_upper_bound(r: int, d: int, k: int) -> int:

@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 verified negative (infeasible, not found, or
 counterexample), 2 usage or input error, 3 size guard exceeded. Commands
 that emit a constructed object always run the matching verifier first.
 Identical inputs and seed produce byte-identical output. The environment
-variable ECTARGET_GUARD_OVERRIDE raises every search guard to the given
-integer (searches can then be very slow).
+variable ECTARGET_GUARD_OVERRIDE raises each of the seven size limits of
+``Limits`` that is below the given integer to it (searches can then be very
+slow); only the commands that hit a limit read it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from .bounds import genus_density_bounds, planar_bounds, universal_upper_bound
 from .coloring import exact_star_coloring, greedy_star_coloring, verify_star
 from .density import OrientationInfeasible, densest_subgraph, find_orientation, min_orientation
 from .graphs import (
+    LIMITS,
     GraphFormatError,
     GuardExceeded,
+    Limits,
     parse_edge_colored,
     parse_graph,
     parse_homomorphism,
@@ -41,15 +44,15 @@ from .universal import (
 )
 
 
-def _guard(default: int) -> int:
+def _limits() -> Limits:
+    """The default limits, raised to ECTARGET_GUARD_OVERRIDE when it is set."""
     raw = os.environ.get("ECTARGET_GUARD_OVERRIDE")
     if raw is None:
-        return default
+        return LIMITS
     try:
-        value = int(raw)
+        return LIMITS.raised(int(raw))
     except ValueError:
         raise ValueError("ECTARGET_GUARD_OVERRIDE must be an integer") from None
-    return max(default, value)
 
 
 def _read(path: str) -> str:
@@ -88,10 +91,10 @@ def _target_header(text: str):
     return header["q"], header["d"], header["k"]
 
 
-def _load_target(path: str):
+def _load_target(path: str, limits: Limits = LIMITS):
     text = _read(path)
     header = _target_header(text)
-    return parse_edge_colored(text) if header is None else build_universal(*header)
+    return parse_edge_colored(text) if header is None else build_universal(*header, limits)
 
 
 def _cmd_density(args) -> int:
@@ -128,7 +131,7 @@ def _cmd_orient(args) -> int:
 def _cmd_star_color(args) -> int:
     graph = parse_graph(_read(args.graph))
     if args.exact is not None:
-        coloring = exact_star_coloring(graph, args.exact, size_guard=_guard(20))
+        coloring = exact_star_coloring(graph, args.exact, _limits())
         if coloring is None:
             _emit(args, {"found": False, "c_max": args.exact})
             return 1
@@ -172,7 +175,7 @@ def _cmd_out_color(args) -> int:
 
 
 def _cmd_build_target(args) -> int:
-    target = build_universal(args.q, args.d, args.k)
+    target = build_universal(args.q, args.d, args.k, _limits() if args.explicit else LIMITS)
     payload = {
         "q": target.q,
         "d": target.d,
@@ -180,7 +183,7 @@ def _cmd_build_target(args) -> int:
         "vertex_count": target.vertex_count,
     }
     if args.explicit:
-        explicit = target.to_edge_colored_graph(vertex_guard=_guard(1000))
+        explicit = target.to_edge_colored_graph()
         text = serialize(explicit)
         payload["target"] = text.splitlines()
         _write_output(args, text)
@@ -258,16 +261,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_universal(args) -> int:
-    target = _load_target(args.target)
+    limits = _limits()
+    target = _load_target(args.target, limits)
     graph = parse_graph(_read(args.graph))
-    counterexample = check_universal(
-        target,
-        graph,
-        args.k,
-        enumeration_guard=_guard(10**6),
-        source_guard=_guard(12),
-        target_guard=_guard(64),
-    )
+    counterexample = check_universal(target, graph, args.k, limits)
     if counterexample is None:
         _emit(args, {"universal": True})
         return 0
@@ -277,7 +274,7 @@ def _cmd_check_universal(args) -> int:
 
 def _cmd_min_target(args) -> int:
     graphs = [parse_graph(_read(path)) for path in args.graphs]
-    result = min_universal_size(graphs, args.k, args.max_p, p_guard=_guard(5))
+    result = min_universal_size(graphs, args.k, args.max_p, _limits())
     if result is None:
         _emit(args, {"found": False, "max_p": args.max_p})
         return 1
@@ -290,16 +287,7 @@ def _cmd_min_target(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.family == "planar":
-        report = planar_bounds(args.k)
-        _emit(
-            args,
-            {
-                "lower": str(report.lower),
-                "upper": str(report.upper),
-                "parameters": report.parameters,
-                "notes": report.notes,
-            },
-        )
+        _emit(args, planar_bounds(args.k).to_dict())
     elif args.family == "genus":
         lower, upper, t = genus_density_bounds(args.g)
         _emit(args, {"lower": lower, "upper": upper, "t": t})

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, GuardExceeded, VertexColoring
+from .graphs import LIMITS, Graph, Limits, VertexColoring
 
 
 def _is_proper(graph: Graph, coloring: VertexColoring) -> bool:
@@ -156,23 +156,21 @@ def _backtrack_coloring(graph: Graph, c_max: int, safe) -> VertexColoring | None
     return None
 
 
-def exact_star_coloring(graph: Graph, c_max: int, size_guard: int = 20) -> VertexColoring | None:
+def exact_star_coloring(graph: Graph, c_max: int, limits: Limits = LIMITS) -> VertexColoring | None:
     """Star coloring with at most c_max colors, or None if none exists.
 
-    Complete backtracking search; refuses graphs larger than size_guard.
+    Complete backtracking search; refuses graphs above limits.exact_coloring_n.
     """
-    if graph.n > size_guard:
-        raise GuardExceeded(f"exact star coloring guarded at n <= {size_guard}, got n={graph.n}")
+    limits.check("exact_coloring_n", graph.n, f"exact star coloring of n={graph.n}")
     result = _backtrack_coloring(graph, c_max, _star_safe)
     if result is not None and not verify_star(graph, result):
         raise AssertionError("exact star coloring failed its own verifier")
     return result
 
 
-def exact_acyclic_coloring(graph: Graph, c_max: int, size_guard: int = 20) -> VertexColoring | None:
+def exact_acyclic_coloring(graph: Graph, c_max: int, limits: Limits = LIMITS) -> VertexColoring | None:
     """Acyclic coloring with at most c_max colors, or None if none exists."""
-    if graph.n > size_guard:
-        raise GuardExceeded(f"exact acyclic coloring guarded at n <= {size_guard}, got n={graph.n}")
+    limits.check("exact_coloring_n", graph.n, f"exact acyclic coloring of n={graph.n}")
     result = _backtrack_coloring(graph, c_max, _acyclic_safe)
     if result is not None and not verify_acyclic(graph, result):
         raise AssertionError("exact acyclic coloring failed its own verifier")

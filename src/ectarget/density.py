@@ -74,27 +74,40 @@ class _Dinic:
         self.level = level
         return level[t] >= 0
 
-    def _dfs(self, u: int, t: int, f: int) -> int:
-        if u == t:
-            return f
-        while self.it[u] < len(self.adj[u]):
-            arc = self.adj[u][self.it[u]]
-            v, cap, rev = arc
-            if cap > 0 and self.level[v] == self.level[u] + 1:
-                pushed = self._dfs(v, t, min(f, cap))
-                if pushed:
-                    arc[1] -= pushed
-                    self.adj[v][rev][1] += pushed
-                    return pushed
-            self.it[u] += 1
-        return 0
+    def _dfs(self, s: int, t: int) -> int:
+        """Push flow along one level-graph path from s to t; 0 when none is left.
+
+        The path is a stack of arcs, not of Python frames. A dead end pops one
+        arc and advances its tail's arc pointer, as a recursive search would."""
+        adj, it, level = self.adj, self.it, self.level
+        path, u = [], s
+        while u != t:
+            arcs = adj[u]
+            while it[u] < len(arcs):
+                arc = arcs[it[u]]
+                if arc[1] > 0 and level[arc[0]] == level[u] + 1:
+                    path.append(arc)
+                    u = arc[0]
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0
+                arc = path.pop()
+                u = adj[arc[0]][arc[2]][0]  # the tail, through the reverse arc
+                it[u] += 1
+        pushed = min(arc[1] for arc in path)
+        for arc in path:
+            arc[1] -= pushed
+            adj[arc[0]][arc[2]][1] += pushed
+        return pushed
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
         while self._bfs(s, t):
             self.it = [0] * self.n
             while True:
-                pushed = self._dfs(s, t, _INF)
+                pushed = self._dfs(s, t)
                 if not pushed:
                     break
                 flow += pushed

@@ -14,7 +14,7 @@ from ``u`` to ``v``, ``u v c <`` the other way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -25,6 +25,36 @@ class GraphFormatError(ValueError):
 
 class GuardExceeded(RuntimeError):
     """An operation would exceed its configured size guard."""
+
+
+@dataclass(frozen=True)
+class Limits:
+    """Size guards that keep the exhaustive operations at desk scale."""
+
+    exact_coloring_n: int = 20  # graph of an exact star or acyclic coloring search
+    search_source_n: int = 12  # source of a homomorphism search
+    search_target_n: int = 64  # target of a homomorphism search
+    colorings: int = 10**6  # k^m edge colorings a universality check enumerates
+    min_target_p: int = 5  # largest target a minimum-target search tries
+    explicit_vertices: int = 1000  # tuple target written out as an explicit graph
+    listed_vertices: int = 10**6  # tuple target whose vertices are listed
+
+    def check(self, name: str, value: int, what: str) -> None:
+        """Raise GuardExceeded when value is above the limit called name.
+
+        what describes the value for the message; the value itself is never
+        formatted, since a count such as k**m may be too long to print.
+        """
+        limit = getattr(self, name)
+        if value > limit:
+            raise GuardExceeded(f"{what} exceeds the limit {name}={limit}")
+
+    def raised(self, floor: int) -> "Limits":
+        """These limits with every one below floor raised to floor."""
+        return Limits(*(max(getattr(self, f.name), floor) for f in fields(self)))
+
+
+LIMITS = Limits()
 
 
 @dataclass(frozen=True)

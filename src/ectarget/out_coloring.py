@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .coloring import verify_star
-from .graphs import EdgeColoredGraph, OrientedGraph, VertexColoring
+from .graphs import LIMITS, EdgeColoredGraph, Limits, OrientedGraph, VertexColoring
 
 
 class TargetNotUniversal(Exception):
@@ -206,8 +206,7 @@ def out_coloring_from_universal(
     oriented: OrientedGraph,
     target: EdgeColoredGraph,
     k: int,
-    source_guard: int = 12,
-    target_guard: int = 64,
+    limits: Limits = LIMITS,
 ) -> OutColoringCertificate:
     """Out-coloring assembled from homomorphisms into a universal target.
 
@@ -245,9 +244,7 @@ def out_coloring_from_universal(
         scale = k ** (i - 1)
         color = {e: ((j - 1) // scale) % k + 1 for e, j in parent_index.items()}
         derived = EdgeColoredGraph(graph, k, color)
-        hom = find_homomorphism(
-            derived, target, source_guard=source_guard, target_guard=target_guard
-        )
+        hom = find_homomorphism(derived, target, limits)
         if hom is None:
             raise TargetNotUniversal(derived)
         hom_images.append(hom.mapping)

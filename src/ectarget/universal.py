@@ -19,13 +19,13 @@ graph, and exhaustive minimum-universal-target search over tiny instances.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .graphs import (
+    LIMITS,
     EdgeColoredGraph,
     Graph,
-    GuardExceeded,
     Homomorphism,
+    Limits,
     OrientedGraph,
     VertexColoring,
 )
@@ -42,7 +42,7 @@ def edge_color(u: tuple, v: tuple) -> int:
 class UniversalTarget:
     """Complete k-edge-colored target over the (q, d, k) tuple vertex set."""
 
-    def __init__(self, q: int, d: int, k: int, materialize_guard: int = 10**6):
+    def __init__(self, q: int, d: int, k: int, limits: Limits = LIMITS):
         if q < 1:
             raise ValueError(f"palette q must be at least 1, got {q}")
         if k < 2:
@@ -52,16 +52,13 @@ class UniversalTarget:
         self.q = q
         self.k = k
         self.d = min(d, q)  # at most q coordinates exist
-        self.materialize_guard = materialize_guard
-        # counts[t][r] = number of length-t suffixes with at most r non-k entries
-        counts = []
-        for t in range(q + 1):
-            row = []
-            for r in range(self.d + 1):
-                row.append(
-                    sum(math.comb(t, j) * (k - 1) ** j for j in range(min(r, t) + 1))
-                )
-            counts.append(row)
+        self.limits = limits
+        # counts[t][r] = number of length-t suffixes with at most r non-k
+        # entries: the first entry is either k or one of k - 1 others
+        counts = [[1] * (self.d + 1)]
+        for _ in range(q):
+            prev = counts[-1]
+            counts.append([1] + [prev[r] + (k - 1) * prev[r - 1] for r in range(1, self.d + 1)])
         self._counts = counts
         self.block = counts[q][self.d]
         self.vertex_count = q * self.block
@@ -144,23 +141,17 @@ class UniversalTarget:
     def vertices(self) -> tuple:
         """All tuple vertices in lexicographic order (materialized lazily)."""
         if self._vertices is None:
-            if self.vertex_count > self.materialize_guard:
-                raise GuardExceeded(
-                    f"enumerating {self.vertex_count} vertices exceeds the guard "
-                    f"of {self.materialize_guard}"
-                )
+            self.limits.check("listed_vertices", self.vertex_count, f"listing {self.vertex_count} vertices")
             self._vertices = tuple(self._generate())
             if len(self._vertices) != self.vertex_count:
                 raise AssertionError("vertex enumeration disagrees with the closed form")
         return self._vertices
 
-    def to_edge_colored_graph(self, vertex_guard: int = 1000) -> EdgeColoredGraph:
+    def to_edge_colored_graph(self) -> EdgeColoredGraph:
         """Explicit complete edge-colored graph; only sensible for small targets."""
-        if self.vertex_count > vertex_guard:
-            raise GuardExceeded(
-                f"explicit target with {self.vertex_count} vertices exceeds the guard "
-                f"of {vertex_guard}"
-            )
+        self.limits.check(
+            "explicit_vertices", self.vertex_count, f"explicit target with {self.vertex_count} vertices"
+        )
         vs = self.vertices
         p = len(vs)
         edges = {}
@@ -170,9 +161,9 @@ class UniversalTarget:
         return EdgeColoredGraph(Graph(p, edges.keys()), self.k, edges)
 
 
-def build_universal(q: int, d: int, k: int, materialize_guard: int = 10**6) -> UniversalTarget:
+def build_universal(q: int, d: int, k: int, limits: Limits = LIMITS) -> UniversalTarget:
     """Target with parameters (q, d, k); d is capped at q."""
-    return UniversalTarget(q, d, k, materialize_guard=materialize_guard)
+    return UniversalTarget(q, d, k, limits)
 
 
 def build_homomorphism(
@@ -244,30 +235,25 @@ def verify_homomorphism(source: EdgeColoredGraph, target, hom: Homomorphism) -> 
     return True
 
 
-def find_homomorphism(
-    source: EdgeColoredGraph,
-    target,
-    source_guard: int = 12,
-    target_guard: int = 64,
-) -> Homomorphism | None:
+def _search_target(target, limits: Limits) -> EdgeColoredGraph:
+    """The target as an explicit graph, once its size passes the search limit."""
+    tuples = isinstance(target, UniversalTarget)
+    n = target.vertex_count if tuples else target.graph.n
+    limits.check("search_target_n", n, f"search target of {n} vertices")
+    return target.to_edge_colored_graph() if tuples else target
+
+
+def find_homomorphism(source: EdgeColoredGraph, target, limits: Limits = LIMITS) -> Homomorphism | None:
     """Complete backtracking search for a homomorphism, or None.
 
     Source vertices are assigned in descending degree order, candidates in
     ascending id order, with forward checking against the colored adjacency
-    of already-assigned neighbors. Guards bound both graph sizes.
+    of already-assigned neighbors. Limits bound both graph sizes.
     """
-    if isinstance(target, UniversalTarget):
-        if target.vertex_count > target_guard:
-            raise GuardExceeded(
-                f"target size {target.vertex_count} exceeds the search guard {target_guard}"
-            )
-        target = target.to_edge_colored_graph(vertex_guard=target_guard)
+    target = _search_target(target, limits)
     graph = source.graph
     tgraph = target.graph
-    if graph.n > source_guard:
-        raise GuardExceeded(f"source size {graph.n} exceeds the search guard {source_guard}")
-    if tgraph.n > target_guard:
-        raise GuardExceeded(f"target size {tgraph.n} exceeds the search guard {target_guard}")
+    limits.check("search_source_n", graph.n, f"search source of {graph.n} vertices")
     by_color = [dict() for _ in range(tgraph.n)]
     for (a, b), c in target.color.items():
         by_color[a].setdefault(c, set()).add(b)
@@ -318,9 +304,7 @@ def check_universal(
     target,
     graph: Graph,
     k: int,
-    enumeration_guard: int = 10**6,
-    source_guard: int = 12,
-    target_guard: int = 64,
+    limits: Limits = LIMITS,
 ) -> EdgeColoredGraph | None:
     """First k-edge-coloring of the graph with no homomorphism, or None.
 
@@ -330,16 +314,12 @@ def check_universal(
     if k < 2:
         raise ValueError(f"edge palette must satisfy k >= 2, got {k}")
     m = graph.m
-    if k**m > enumeration_guard:
-        raise GuardExceeded(
-            f"enumerating {k}^{m} colorings exceeds the guard of {enumeration_guard}"
-        )
-    if isinstance(target, UniversalTarget):
-        target = target.to_edge_colored_graph(vertex_guard=target_guard)
+    limits.check("colorings", k**m, f"enumerating {k}^{m} colorings")
+    target = _search_target(target, limits)
     edges = graph.sorted_edges
     for combo in itertools.product(range(1, k + 1), repeat=m):
         colored = EdgeColoredGraph(graph, k, dict(zip(edges, combo)))
-        if find_homomorphism(colored, target, source_guard, target_guard) is None:
+        if find_homomorphism(colored, target, limits) is None:
             return colored
     return None
 
@@ -361,9 +341,7 @@ def min_universal_size(
     graphs,
     k: int = 2,
     p_max: int = 3,
-    p_guard: int = 5,
-    enumeration_guard: int = 10**6,
-    source_guard: int = 12,
+    limits: Limits = LIMITS,
 ) -> tuple[int, EdgeColoredGraph] | None:
     """Smallest universal target for a list of graphs, by exhaustive search.
 
@@ -371,14 +349,13 @@ def min_universal_size(
     representative per vertex/color symmetry class) until one admits all
     k-edge-colorings of every listed graph, and returns (p, target). Returns
     None when no target with at most p_max vertices works. Tiny instances
-    only; the guard rejects p_max above p_guard.
+    only; p_max above limits.min_target_p is refused.
     """
     if k < 2:
         raise ValueError(f"edge palette must satisfy k >= 2, got {k}")
     if p_max < 1:
         raise ValueError(f"p_max must be at least 1, got {p_max}")
-    if p_max > p_guard:
-        raise GuardExceeded(f"exhaustive target search guarded at p <= {p_guard}, got {p_max}")
+    limits.check("min_target_p", p_max, f"target search up to p={p_max}")
     graphs = list(graphs)
     if not graphs:
         raise ValueError("need at least one graph to search against")
@@ -396,17 +373,6 @@ def min_universal_size(
                 continue
             edges = {pairs[i]: c for i, c in enumerate(assign) if c}
             candidate = EdgeColoredGraph(Graph(p, edges.keys()), k, edges)
-            if all(
-                check_universal(
-                    candidate,
-                    g,
-                    k,
-                    enumeration_guard=enumeration_guard,
-                    source_guard=source_guard,
-                    target_guard=max(p, 1),
-                )
-                is None
-                for g in graphs
-            ):
+            if all(check_universal(candidate, g, k, limits) is None for g in graphs):
                 return p, candidate
     return None

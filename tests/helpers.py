@@ -8,11 +8,24 @@ every-bicolored-component-is-a-star characterization.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 from ectarget.graphs import EdgeColoredGraph, Graph, VertexColoring
+
+
+@contextlib.contextmanager
+def recursion_limit(limit: int):
+    """Run the block under a lowered interpreter recursion limit."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 # ---------------------------------------------------------------------------

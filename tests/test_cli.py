@@ -3,7 +3,14 @@ import json
 import pytest
 
 from ectarget import cli
-from ectarget.graphs import parse_edge_colored, parse_homomorphism, parse_oriented
+from ectarget.graphs import (
+    Limits,
+    parse_edge_colored,
+    parse_homomorphism,
+    parse_oriented,
+    serialize_graph,
+)
+from helpers import grid, path, recursion_limit
 
 K4 = "4 6 1\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1\n2 3 1\n"
 C5 = "5 5 1\n0 1 1\n1 2 1\n2 3 1\n3 4 1\n0 4 1\n"
@@ -232,6 +239,62 @@ def test_guard_override_env(tmp_path, capsys, monkeypatch):
     code, payload = run_json(capsys, "star-color", str(graph_file), "--exact", "1")
     assert code == 0
     assert payload["palette"] == 1
+
+
+def test_guard_override_lifts_explicit_target(tmp_path, capsys, monkeypatch):
+    # the 6-vertex (2, 1, 2) target against an explicit-target limit of 5
+    monkeypatch.setattr(cli, "LIMITS", Limits(explicit_vertices=5))
+    argv = ["build-target", "--q", "2", "--d", "1", "--k", "2", "--explicit"]
+    assert run(capsys, *argv)[0] == 3
+    monkeypatch.setenv("ECTARGET_GUARD_OVERRIDE", "6")
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["vertex_count"] == 6
+    assert len(payload["target"]) == 1 + 15
+
+
+def test_guard_override_lifts_check_universal(tmp_path, capsys, monkeypatch):
+    # the (4, 2, 3) target has 132 vertices, above the search limit of 64 and
+    # an explicit-target limit of 100: the override must reach the target
+    # loaded from the header too
+    monkeypatch.setattr(cli, "LIMITS", Limits(explicit_vertices=100))
+    target = tmp_path / "t.json"
+    target.write_text('{"q": 4, "d": 2, "k": 3}\n')
+    graph_file = tmp_path / "k2.g"
+    graph_file.write_text(K2)
+    argv = ["check-universal", str(target), "--graph", str(graph_file), "--k", "3"]
+    assert run(capsys, *argv)[0] == 3
+    monkeypatch.setenv("ECTARGET_GUARD_OVERRIDE", "200")
+    assert run_json(capsys, *argv) == (0, {"universal": True})
+
+
+def test_non_integer_guard_override_exits_two(tmp_path, capsys, monkeypatch):
+    graph_file = tmp_path / "k21.g"
+    graph_file.write_text("21 0 1\n")
+    monkeypatch.setenv("ECTARGET_GUARD_OVERRIDE", "lots")
+    assert cli.main(["star-color", str(graph_file), "--exact", "1"]) == 2
+    assert "ECTARGET_GUARD_OVERRIDE must be an integer" in capsys.readouterr().err
+    # a command that reaches no limit does not read the override
+    assert run(capsys, "star-color", str(graph_file))[0] == 0
+
+
+def test_check_universal_on_a_long_path_exits_three(tmp_path, capsys):
+    # 2^15000 colorings: a count with more digits than int-to-str allows
+    graph_file = tmp_path / "path.g"
+    graph_file.write_text(serialize_graph(path(15001)))
+    target = tmp_path / "t.json"
+    target.write_text('{"q": 2, "d": 1, "k": 2}\n')
+    assert cli.main(["check-universal", str(target), "--graph", str(graph_file), "--k", "2"]) == 3
+    assert "2^15000" in capsys.readouterr().err
+
+
+def test_density_on_a_long_ladder_within_a_low_recursion_limit(tmp_path, capsys):
+    f = tmp_path / "ladder.g"
+    f.write_text(serialize_graph(grid(2, 300)))
+    with recursion_limit(120):
+        code, payload = run_json(capsys, "density", str(f))
+    assert code == 0
+    assert payload["density"] == "449/300"
 
 
 def test_text_format_smoke(tmp_path, capsys):

@@ -25,6 +25,7 @@ from helpers import (
     orientation_exists_bruteforce,
     path,
     random_graph,
+    recursion_limit,
     stacked_triangulation,
 )
 
@@ -122,6 +123,16 @@ def test_density_takes_few_flows_on_a_planted_clique():
     assert dens.value == Fraction(19, 2)
     assert dens.witness == tuple(range(20))
     assert flows <= 3
+
+
+def test_flow_paths_are_not_bounded_by_the_recursion_limit():
+    # augmenting paths on a 2 x 300 ladder run through hundreds of nodes
+    ladder = grid(2, 300)
+    with recursion_limit(120):
+        dens = densest_subgraph(ladder)
+        oriented = find_orientation(ladder, 2)
+    assert dens.value == Fraction(449, 300)
+    assert oriented.max_in_degree <= 2
 
 
 @given(graphs(max_n=8))

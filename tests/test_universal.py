@@ -12,6 +12,7 @@ from ectarget.graphs import (
     Graph,
     GuardExceeded,
     Homomorphism,
+    Limits,
     OrientedGraph,
     VertexColoring,
 )
@@ -72,6 +73,7 @@ def test_vertex_count_closed_form_without_materializing():
     target = build_universal(30, 3, 5)
     assert target.vertex_count == closed_form(30, 3, 5)
     assert target.vertex_count > 10**6
+    assert build_universal(250, 250, 3).vertex_count == closed_form(250, 250, 3)
 
 
 def test_materialization_guard():
@@ -269,7 +271,7 @@ def test_check_universal_guard():
     g = clique(5)
     tgt = EdgeColoredGraph(Graph(2, [(0, 1)]), 2, {(0, 1): 1})
     with pytest.raises(GuardExceeded):
-        check_universal(tgt, g, 2, enumeration_guard=100)
+        check_universal(tgt, g, 2, Limits(colorings=100))
 
 
 def test_min_universal_single_edge_needs_three_vertices():
