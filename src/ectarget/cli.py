@@ -211,23 +211,17 @@ def _cmd_map(args) -> int:
         except OrientationInfeasible as exc:
             _emit(args, {"verified": False, "reason": "orientation infeasible", "witness": list(exc.witness)})
             return 1
-        star = greedy_star_coloring(graph, seed=args.seed)
-        certificate = build_out_coloring(oriented, star)
-        if certificate.coloring.palette > q:
-            _emit(
-                args,
-                {
-                    "verified": False,
-                    "reason": f"out-coloring needs {certificate.coloring.palette} colors, target allows q={q}",
-                },
-            )
-            return 1
-        target = build_universal(q, d, k)
     else:
         _, oriented = min_orientation(graph)
-        star = greedy_star_coloring(graph, seed=args.seed)
-        certificate = build_out_coloring(oriented, star)
-        target = build_universal(certificate.coloring.palette, oriented.max_in_degree, k)
+    star = greedy_star_coloring(graph, seed=args.seed)
+    certificate = build_out_coloring(oriented, star)
+    palette = certificate.coloring.palette
+    if not args.target:
+        q, d = palette, oriented.max_in_degree
+    elif palette > q:
+        _emit(args, {"verified": False, "reason": f"out-coloring needs {palette} colors, target allows q={q}"})
+        return 1
+    target = build_universal(q, d, k)
     hom = build_homomorphism(source, oriented, certificate.coloring, target)
     if not verify_homomorphism(source, target, hom):
         raise AssertionError("refusing to print an unverified homomorphism")

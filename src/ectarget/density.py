@@ -191,37 +191,20 @@ def find_orientation(graph: Graph, d: int) -> OrientedGraph:
     """
     if d < 0:
         raise ValueError(f"in-degree bound must be nonnegative, got {d}")
-    edges = graph.sorted_edges
-    m, n = len(edges), graph.n
+    m, n = graph.m, graph.n
     if m == 0:
         return OrientedGraph(graph, {})
-    net = _Dinic(2 + m + n)
-    src, sink = 0, 1 + m + n
-    arc_refs = []
-    for i, (u, v) in enumerate(edges):
-        net.add_edge(src, 1 + i, 1)
-        to_u = len(net.adj[1 + i])
-        net.add_edge(1 + i, 1 + m + u, 1)
-        to_v = len(net.adj[1 + i])
-        net.add_edge(1 + i, 1 + m + v, 1)
-        arc_refs.append((to_u, to_v))
-    for v in range(n):
-        net.add_edge(1 + m + v, sink, d)
-    flow = net.max_flow(src, sink)
+    flow, net = _density_network(graph, Fraction(d))
     if flow < m:
-        side = net.reach(src)
+        side = net.reach(0)
         witness = tuple(sorted(v for v in range(n) if (1 + m + v) in side))
         if _edges_within(graph, set(witness)) <= d * len(witness):
             raise AssertionError("infeasibility witness mismatch")
         raise OrientationInfeasible(d, witness)
     direction = {}
-    for i, (u, v) in enumerate(edges):
-        to_u, _ = arc_refs[i]
-        # the unit of flow through edge node i saturates the arc to its head
-        if net.adj[1 + i][to_u][1] == 0:
-            direction[(u, v)] = (v, u)
-        else:
-            direction[(u, v)] = (u, v)
+    for i, (u, v) in enumerate(graph.sorted_edges):
+        # edge node i sends its unit either to u (arc 1) or to v (arc 2)
+        direction[(u, v)] = (v, u) if net.adj[1 + i][1][1] < _INF else (u, v)
     return OrientedGraph(graph, direction)
 
 

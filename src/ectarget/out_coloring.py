@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 from .coloring import verify_star
 from .graphs import LIMITS, EdgeColoredGraph, Limits, OrientedGraph, VertexColoring
@@ -43,29 +42,15 @@ class TargetNotUniversal(Exception):
 
 @dataclass(frozen=True)
 class OutColoringCertificate:
-    """An out-coloring plus its declared palette budget and construction log.
+    """A verified out-coloring plus its declared palette budget.
 
-    Each log entry is (rule, tail, via, head): the auxiliary edge tail -> head
-    was added because of the middle vertex via. The number of entries per head
-    bounds the auxiliary in-degree.
+    rule_counts maps each rule that added an auxiliary edge to the number of
+    triples it fired on, in the order the rules first fired.
     """
 
     coloring: VertexColoring
     budget: int
-    construction_log: tuple
-
-    @cached_property
-    def rule_counts(self) -> dict:
-        counts = {}
-        for rule, _, _, _ in self.construction_log:
-            counts[rule] = counts.get(rule, 0) + 1
-        return counts
-
-    def aux_in_degrees(self) -> dict:
-        degrees = {}
-        for _, _, _, head in self.construction_log:
-            degrees[head] = degrees.get(head, 0) + 1
-        return degrees
+    rule_counts: dict
 
 
 def verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> bool:
@@ -148,6 +133,16 @@ def _flatten(tuples: list) -> VertexColoring:
     return VertexColoring(len(ranks), [ranks[t] for t in tuples])
 
 
+def _certify(oriented: OrientedGraph, tuples: list, budget: int, rule_counts: dict) -> OutColoringCertificate:
+    """Flatten per-vertex color tuples and verify the result before returning it."""
+    coloring = _flatten(tuples)
+    if coloring.palette > budget:
+        raise AssertionError("out-coloring palette exceeded its budget")
+    if not verify_out_coloring(oriented, coloring):
+        raise AssertionError("constructed out-coloring failed verification")
+    return OutColoringCertificate(coloring, budget, rule_counts)
+
+
 def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColoringCertificate:
     """Out-coloring from a star coloring of the underlying graph.
 
@@ -169,37 +164,25 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColo
     d = oriented.max_in_degree
     s = star.palette
     if d == 0:
-        coloring = VertexColoring(1, [1] * graph.n)
-        return OutColoringCertificate(coloring, 1, ())
-    log = []
+        return _certify(oriented, [()] * graph.n, 1, {})
+    rule_counts = {}
+    in_degrees = [0] * graph.n
     adjacency = {v: set() for v in range(graph.n)}
     for x in range(graph.n):
         ps = oriented.parents(x)
-        for b in ps:
-            for a in ps:
-                if a != b and star[a] == star[b]:
-                    log.append(("R1", b, x, a))
-                    adjacency[b].add(a)
-                    adjacency[a].add(b)
-        for b in ps:
-            for a in oriented.children(x):
-                if star[a] == star[b]:
-                    log.append(("R2", b, x, a))
-                    adjacency[b].add(a)
-                    adjacency[a].add(b)
-    in_degrees = {}
-    for _, _, _, head in log:
-        in_degrees[head] = in_degrees.get(head, 0) + 1
-    if in_degrees and max(in_degrees.values()) > d * (s - 1):
+        for rule, heads in (("R1", ps), ("R2", oriented.children(x))):
+            for b in ps:
+                for a in heads:
+                    if a != b and star[a] == star[b]:
+                        rule_counts[rule] = rule_counts.get(rule, 0) + 1
+                        in_degrees[a] += 1
+                        adjacency[b].add(a)
+                        adjacency[a].add(b)
+    if max(in_degrees) > d * (s - 1):
         raise AssertionError("auxiliary digraph in-degree bound violated")
     aux_colors = _degeneracy_greedy(graph.n, adjacency, 2 * d * s)
-    coloring = _flatten([(star[v], aux_colors[v]) for v in range(graph.n)])
-    budget = 2 * d * s * s
-    if coloring.palette > budget:
-        raise AssertionError("out-coloring palette exceeded its budget")
-    if not verify_out_coloring(oriented, coloring):
-        raise AssertionError("constructed out-coloring failed verification")
-    return OutColoringCertificate(coloring, budget, tuple(log))
+    tuples = [(star[v], aux_colors[v]) for v in range(graph.n)]
+    return _certify(oriented, tuples, 2 * d * s * s, rule_counts)
 
 
 def out_coloring_from_universal(
@@ -248,25 +231,19 @@ def out_coloring_from_universal(
         if hom is None:
             raise TargetNotUniversal(derived)
         hom_images.append(hom.mapping)
-    log = []
+    rule_counts = {}
     conflicts = {v: set() for v in range(graph.n)}
     for w in range(graph.n):
         for a, mid in enumerate(oriented.parents(w), start=1):
             grand = oriented.parents(mid)
             if len(grand) >= a:
                 u = grand[a - 1]
-                log.append(("C3", u, mid, w))
+                rule_counts["C3"] = rule_counts.get("C3", 0) + 1
                 conflicts[u].add(w)
                 conflicts[w].add(u)
     repair = _degeneracy_greedy(graph.n, conflicts, 2 * d + 1)
     tuples = [tuple(h[v] for h in hom_images) + (repair[v],) for v in range(graph.n)]
-    coloring = _flatten(tuples)
-    budget = (2 * d + 1) * p**digits
-    if coloring.palette > budget:
-        raise AssertionError("out-coloring palette exceeded its budget")
-    if not verify_out_coloring(oriented, coloring):
-        raise AssertionError("constructed out-coloring failed verification")
-    return OutColoringCertificate(coloring, budget, tuple(log))
+    return _certify(oriented, tuples, (2 * d + 1) * p**digits, rule_counts)
 
 
 def serialize_certificate(certificate: OutColoringCertificate) -> str:

@@ -120,22 +120,23 @@ class UniversalTarget:
         return tuple(out)
 
     def _generate(self):
-        prefix = [0] * self.q
-
-        def emit(t, budget):
-            if t == self.q:
-                yield tuple(prefix)
-                return
-            for x in range(1, self.k + 1):
-                cost = 0 if x == self.k else 1
-                if budget - cost < 0:
-                    continue
-                prefix[t] = x
-                yield from emit(t + 1, budget - cost)
-
-        for lead in range(1, self.q + 1):
-            for xs in emit(0, self.d):
-                yield (lead,) + xs
+        """Tuple vertices in lexicographic order, stepping an odometer over the
+        coordinates: the successor raises the last coordinate below k by one
+        and resets the rest to the smallest completion within the budget."""
+        q, d, k = self.q, self.d, self.k
+        for lead in range(1, q + 1):
+            digits = [1] * d + [k] * (q - d)
+            while True:
+                yield (lead, *digits)
+                t = q - 1
+                while t >= 0 and digits[t] == k:
+                    t -= 1
+                if t < 0:
+                    break
+                digits[t] += 1
+                rest = q - t - 1
+                ones = min(d - sum(1 for x in digits[: t + 1] if x != k), rest)
+                digits[t + 1 :] = [1] * ones + [k] * (rest - ones)
 
     @property
     def vertices(self) -> tuple:

@@ -14,7 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
-from ectarget.graphs import EdgeColoredGraph, Graph, VertexColoring
+from ectarget.graphs import EdgeColoredGraph, Graph, OrientedGraph, VertexColoring
 
 
 @contextlib.contextmanager
@@ -163,6 +163,25 @@ def orientation_exists_bruteforce(graph: Graph, d: int) -> bool:
         return False
 
     return rec(0, len(edges))
+
+
+def aux_triples(oriented: OrientedGraph, star: VertexColoring) -> tuple[dict, dict]:
+    """Counts of R1 and R2 triples (b, x, a), and of triples per head a, from
+    every ordered pair of arcs: R1 when b -> x and a -> x with a != b, R2 when
+    b -> x -> a, in both cases with star[a] == star[b]."""
+    arcs = list(oriented.direction.values())
+    rules, heads = {}, {}
+    for b, x in arcs:
+        for tail, head in arcs:
+            if head == x and tail != b and star[tail] == star[b]:
+                rule, a = "R1", tail
+            elif tail == x and star[head] == star[b]:
+                rule, a = "R2", head
+            else:
+                continue
+            rules[rule] = rules.get(rule, 0) + 1
+            heads[a] = heads.get(a, 0) + 1
+    return rules, heads
 
 
 def star_ok_by_components(graph: Graph, coloring: VertexColoring) -> bool:

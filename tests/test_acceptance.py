@@ -27,6 +27,7 @@ from ectarget.universal import (
 )
 from helpers import (
     acceptance_corpus,
+    aux_triples,
     brute_density,
     clique,
     edges_within,
@@ -51,6 +52,7 @@ def pipeline_stats():
         "failures": 0,
         "budget_violations": 0,
         "aux_violations": 0,
+        "rule_count_mismatches": 0,
     }
     start = time.perf_counter()
     for gi, (name, graph) in enumerate(corpus):
@@ -61,9 +63,11 @@ def pipeline_stats():
         s = star.palette
         if certificate.coloring.palette > 2 * d * s * s:
             stats["budget_violations"] += 1
-        degrees = certificate.aux_in_degrees()
-        if degrees and max(degrees.values()) > d * (s - 1):
+        rules, heads = aux_triples(oriented, star)
+        if heads and max(heads.values()) > d * (s - 1):
             stats["aux_violations"] += 1
+        if certificate.rule_counts != rules:
+            stats["rule_count_mismatches"] += 1
         for k in (2, 3, 5):
             target = build_universal(certificate.coloring.palette, d, k)
             rng = random.Random(1000 + 10 * gi + k)
@@ -184,14 +188,20 @@ def test_criterion_4_orientation_feasibility_equivalence():
 
 
 def test_criterion_5_out_coloring_budgets(pipeline_stats):
-    ok = pipeline_stats["budget_violations"] == 0 and pipeline_stats["aux_violations"] == 0
+    ok = (
+        pipeline_stats["budget_violations"] == 0
+        and pipeline_stats["aux_violations"] == 0
+        and pipeline_stats["rule_count_mismatches"] == 0
+    )
     report(
         5,
         ok,
-        "palette within 2*d*s*s and auxiliary in-degree within d*(s-1) on every pipeline graph",
+        "palette within 2*d*s*s, auxiliary in-degree within d*(s-1) and rule counts "
+        "equal to the rule definitions on every pipeline graph",
     )
     assert pipeline_stats["budget_violations"] == 0
     assert pipeline_stats["aux_violations"] == 0
+    assert pipeline_stats["rule_count_mismatches"] == 0
 
 
 def test_criterion_6_minimum_target_oracle():

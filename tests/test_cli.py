@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ectarget import cli
+from ectarget import cli, out_coloring
 from ectarget.graphs import (
     Limits,
     parse_edge_colored,
@@ -92,6 +92,22 @@ def test_out_color_command(tmp_path, capsys):
     assert code == 0
     assert payload["verified"] is True
     assert payload["palette"] <= payload["budget"]
+
+
+def test_out_color_on_an_edgeless_graph_verifies_palette_one(tmp_path, capsys, monkeypatch):
+    g_file = tmp_path / "e3.g"
+    g_file.write_text("3 0 1\n")
+    or_file = tmp_path / "e3.or"
+    or_file.write_text("3 0 1\n")
+    calls = []
+    verify = out_coloring.verify_out_coloring
+    monkeypatch.setattr(out_coloring, "verify_out_coloring", lambda *a: calls.append(a) or verify(*a))
+    code, payload = run_json(capsys, "out-color", str(g_file), "--orientation", str(or_file))
+    assert code == 0
+    assert payload["palette"] == payload["budget"] == 1
+    assert payload["rule_counts"] == {}
+    assert payload["coloring"] == [[0, 1], [1, 1], [2, 1]]
+    assert payload["verified"] is True and len(calls) == 1
 
 
 def test_build_target_command(tmp_path, capsys):

@@ -1,0 +1,145 @@
+"""Byte-identity of CLI output against digests recorded from a known-good build.
+
+Each case runs one ``ectarget`` command in-process on inputs generated here
+and compares the exit code with the sha256 of stdout and of the ``--output``
+file. The digests pin every byte a refactor must keep: palettes, bounds,
+witnesses, rule-count order in the text format and exit codes. Regenerate
+them only for an intended change of output, and say why where the change is
+recorded.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+
+import pytest
+
+from ectarget import cli
+from ectarget.graphs import Graph, OrientedGraph, serialize, serialize_graph, serialize_oriented
+from helpers import clique, grid, random_coloring, stacked_triangulation
+
+
+def write_inputs(root):
+    files = {
+        "tri.g": serialize_graph(stacked_triangulation(60, seed=7)),
+        "grid.g": serialize_graph(grid(5, 6)),
+        "k6.g": serialize_graph(clique(6)),
+        "edgeless.g": serialize_graph(Graph(5)),
+        "edgeless.or": serialize_oriented(OrientedGraph(Graph(5), {})),
+        "src.g": serialize(random_coloring(stacked_triangulation(40, seed=3), 3, random.Random(11))),
+        "fits.json": json.dumps({"q": 60, "d": 3, "k": 3}),
+        "low_d.json": json.dumps({"q": 60, "d": 2, "k": 3}),
+        "low_q.json": json.dumps({"q": 4, "d": 3, "k": 3}),
+    }
+    for name, text in files.items():
+        (root / name).write_text(text)
+
+
+# (name, arguments with {} for the input directory, output file or None);
+# later cases read the orientations that earlier ones write
+CASES = [
+    ("density-tri", "density {}/tri.g", None),
+    ("density-grid-text", "density {}/grid.g --format text", None),
+    ("orient-tri", "orient {}/tri.g --output {}/tri.or", "tri.or"),
+    ("orient-k6-infeasible", "orient {}/k6.g --d 2", None),
+    ("orient-grid-text", "orient {}/grid.g --d 2 --format text --output {}/grid.or", "grid.or"),
+    ("out-color-tri-text", "out-color {}/tri.g --orientation {}/tri.or --format text --output {}/tri.cert", "tri.cert"),
+    ("out-color-grid", "out-color {}/grid.g --orientation {}/grid.or --seed 3 --output {}/grid.cert", "grid.cert"),
+    ("out-color-edgeless", "out-color {}/edgeless.g --orientation {}/edgeless.or --output {}/edgeless.cert", "edgeless.cert"),
+    ("map-fitted", "map {}/src.g --output {}/fitted.hom", "fitted.hom"),
+    ("map-target-text", "map {}/src.g --target {}/fits.json --format text --output {}/target.hom", "target.hom"),
+    ("map-target-low-d", "map {}/src.g --target {}/low_d.json", None),
+    ("map-target-low-q", "map {}/src.g --target {}/low_q.json --format text", None),
+]
+
+GOLDEN = {
+    "density-tri": [
+        0,
+        "b11bc5ebaa14f4fb7ade9b133330bddceede12ef32461f6f2c4a024cd6a41514",
+        None,
+    ],
+    "density-grid-text": [
+        0,
+        "11298a3e2a21305300fa5f05e69254106242e795e92094cc3bc7acf4f3c6b957",
+        None,
+    ],
+    "orient-tri": [
+        0,
+        "12ea20ebbb749763b153668fff751eaa7474137b31e85327aa5fd0e7c5e8be74",
+        "7e43dafdba540aeb0d2f63beafaca7bafa93c46c3d827822f9bed3624c77d3f7",
+    ],
+    "orient-k6-infeasible": [
+        1,
+        "dea7c8ff05c1fd02ebf00ee87d7e894dfadc5a7507aeffde945391a13895aefe",
+        None,
+    ],
+    "orient-grid-text": [
+        0,
+        "62c09d46934b2095f5b838460e118fc1d6a6fc413104d413592204b1149fbbf8",
+        "091525f189a6e813be006b543ad407f22872f5deae7f50e551785cab5b7075ba",
+    ],
+    "out-color-tri-text": [
+        0,
+        "045f400be1bdbb6f45d8ed95c65fdcf55fc533698c4532c7897001f7fc551c69",
+        "fa2fc74ef638975198a8416619c7b0cd4863a71adfd739bd33b94d7f854e62d3",
+    ],
+    "out-color-grid": [
+        0,
+        "e37c4e44ad7f86b51559ab8a29bbed4abc1f1d20446416525367c1439e99881b",
+        "4be7b2da9307bfabaefaaee9ecd44f863a5d908f86007864aab80d8a7b6c1f2a",
+    ],
+    "out-color-edgeless": [
+        0,
+        "5476a137baf517cd10b69a98b0d6508946c92a645c67f0dab44792a3b5f23279",
+        "ad196ce4d162bfdd9c51799e2aba63b8baf3d91345c9e6497d7d9b62924fcdf8",
+    ],
+    "map-fitted": [
+        0,
+        "4d353b2d280fef9c43a5a0da2ac35d738d901c28af408f6015cc096054f774fe",
+        "2aaa87898c4af2063b7fafe5b25e1e0765a67b5689b606b3edab704df80806a8",
+    ],
+    "map-target-text": [
+        0,
+        "32a7c0a5c55e35b0bdc7840a4b2f29e6a935900b3a132b4ebc21eaa8d2c66c9d",
+        "648dc37372ba97d648108b9fb1ae8357e8ea5f2a0ce7085a4536e1156380dcc8",
+    ],
+    "map-target-low-d": [
+        1,
+        "f9831c2b9ad3ce5fd5d363515f4d2d32b043b115bf25473c8cd8f43820e1f902",
+        None,
+    ],
+    "map-target-low-q": [
+        1,
+        "6b534749f1630169941df551c3ce04d94fed8dc3d08cf01fe0501ccc652bb964",
+        None,
+    ],
+}
+
+
+def sha(data: str) -> str:
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def run_case(root, argv, output):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([arg.replace("{}", str(root)) for arg in argv.split()])
+    written = sha((root / output).read_text()) if output else None
+    return [code, sha(stdout.getvalue()), written]
+
+
+def run_all(root) -> dict:
+    write_inputs(root)
+    return {name: run_case(root, argv, output) for name, argv, output in CASES}
+
+
+@pytest.fixture(scope="module")
+def results(tmp_path_factory):
+    return run_all(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", [case[0] for case in CASES])
+def test_cli_output_matches_recorded_digest(results, name):
+    assert results[name] == GOLDEN[name]

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import oriented_with_coloring
+from conftest import oriented_graphs, oriented_with_coloring
 from ectarget.coloring import greedy_star_coloring, verify_acyclic, verify_star
 from ectarget.density import min_orientation
 from ectarget.graphs import EdgeColoredGraph, Graph, OrientedGraph, VertexColoring
@@ -14,7 +14,7 @@ from ectarget.out_coloring import (
     verify_out_coloring,
 )
 from ectarget.universal import build_universal, min_universal_size
-from helpers import clique, path, stacked_triangulation
+from helpers import aux_triples, clique, path, stacked_triangulation
 
 
 def directed_path(n):
@@ -70,7 +70,7 @@ def test_build_out_coloring_shared_child_uses_rule_one():
     g = Graph(3, [(0, 2), (1, 2)])
     og = OrientedGraph(g, {(0, 2): (0, 2), (1, 2): (1, 2)})
     cert = build_out_coloring(og, VertexColoring(2, [1, 1, 2]))
-    rules = {entry[0] for entry in cert.construction_log}
+    rules = set(cert.rule_counts)
     assert rules == {"R1"}
     assert cert.coloring[0] != cert.coloring[1]
     assert verify_out_coloring(og, cert.coloring)
@@ -79,7 +79,7 @@ def test_build_out_coloring_shared_child_uses_rule_one():
 def test_build_out_coloring_path_uses_rule_two():
     og = directed_path(3)
     cert = build_out_coloring(og, VertexColoring(2, [1, 2, 1]))
-    rules = {entry[0] for entry in cert.construction_log}
+    rules = set(cert.rule_counts)
     assert rules == {"R2"}
     # the rule forces the endpoints of the 2-path apart
     assert cert.coloring[0] != cert.coloring[2]
@@ -90,7 +90,7 @@ def test_build_out_coloring_edgeless():
     og = OrientedGraph(Graph(4), {})
     cert = build_out_coloring(og, VertexColoring(1, [1, 1, 1, 1]))
     assert cert.coloring.palette == 1
-    assert cert.construction_log == ()
+    assert cert.rule_counts == {}
 
 
 def test_build_out_coloring_rejects_non_star_coloring():
@@ -109,10 +109,21 @@ def test_build_out_coloring_budgets_on_pipeline():
         s = star.palette
         assert cert.budget == 2 * d_used * s * s
         assert cert.coloring.palette <= cert.budget
-        degrees = cert.aux_in_degrees()
-        if degrees:
-            assert max(degrees.values()) <= d_used * (s - 1)
+        rules, heads = aux_triples(og, star)
+        assert cert.rule_counts == rules
+        if heads:
+            assert max(heads.values()) <= d_used * (s - 1)
         assert verify_out_coloring(og, cert.coloring)
+
+
+@given(oriented_graphs(max_n=8))
+@settings(max_examples=200)
+def test_rule_counts_match_the_rule_definitions(og):
+    star = greedy_star_coloring(og.graph)
+    cert = build_out_coloring(og, star)
+    rules, _ = aux_triples(og, star)
+    assert cert.rule_counts == rules
+    assert verify_out_coloring(og, cert.coloring)
 
 
 def test_certificate_serialization_header():

@@ -26,7 +26,7 @@ from ectarget.universal import (
     min_universal_size,
     verify_homomorphism,
 )
-from helpers import clique, path, random_coloring
+from helpers import clique, path, random_coloring, recursion_limit
 
 
 def closed_form(q, d, k):
@@ -88,6 +88,13 @@ def test_rank_unrank_round_trip_small():
         for idx, vertex in enumerate(target.vertices):
             assert target.rank(vertex) == idx
             assert target.unrank(idx) == vertex
+
+
+def test_vertex_listing_is_not_bounded_by_the_recursion_limit():
+    target = build_universal(300, 0, 2)
+    with recursion_limit(120):
+        vertices = target.vertices
+    assert vertices == tuple((lead,) + (2,) * 300 for lead in range(1, 301))
 
 
 def test_rank_unrank_round_trip_large():
