@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 verified negative (infeasible, not found, or
 counterexample), 2 usage or input error, 3 size guard exceeded. Commands
 that emit a constructed object always run the matching verifier first.
 Identical inputs and seed produce byte-identical output. The environment
-variable ECTARGET_GUARD_OVERRIDE raises each of the seven size limits of
+variable ECTARGET_GUARD_OVERRIDE raises each of the eight size limits of
 ``Limits`` that is below the given integer to it (searches can then be very
 slow); only the commands that hit a limit read it.
 """
@@ -86,12 +86,14 @@ def _target_header(text: str):
         return None
     header = json.loads(text)
     for key in "qdk":
+        if key not in header:
+            raise ValueError(f"target header has no {key}")
         if type(header[key]) is not int:
             raise ValueError(f"target header {key} must be an integer, got {header[key]!r}")
     return header["q"], header["d"], header["k"]
 
 
-def _load_target(path: str, limits: Limits = LIMITS):
+def _load_target(path: str, limits: Limits):
     text = _read(path)
     header = _target_header(text)
     return parse_edge_colored(text) if header is None else build_universal(*header, limits)
@@ -175,7 +177,7 @@ def _cmd_out_color(args) -> int:
 
 
 def _cmd_build_target(args) -> int:
-    target = build_universal(args.q, args.d, args.k, _limits() if args.explicit else LIMITS)
+    target = build_universal(args.q, args.d, args.k, _limits())
     payload = {
         "q": target.q,
         "d": target.d,
@@ -221,7 +223,7 @@ def _cmd_map(args) -> int:
     elif palette > q:
         _emit(args, {"verified": False, "reason": f"out-coloring needs {palette} colors, target allows q={q}"})
         return 1
-    target = build_universal(q, d, k)
+    target = build_universal(q, d, k, _limits())
     hom = build_homomorphism(source, oriented, certificate.coloring, target)
     if not verify_homomorphism(source, target, hom):
         raise AssertionError("refusing to print an unverified homomorphism")
@@ -247,7 +249,7 @@ def _cmd_map(args) -> int:
 
 def _cmd_verify(args) -> int:
     source = parse_edge_colored(_read(args.source))
-    target = _load_target(args.target)
+    target = _load_target(args.target, _limits())
     hom = parse_homomorphism(_read(args.homomorphism))
     ok = verify_homomorphism(source, target, hom)
     _emit(args, {"verified": ok})

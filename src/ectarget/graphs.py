@@ -38,6 +38,7 @@ class Limits:
     min_target_p: int = 5  # largest target a minimum-target search tries
     explicit_vertices: int = 1000  # tuple target written out as an explicit graph
     listed_vertices: int = 10**6  # tuple target whose vertices are listed
+    count_table_bytes: int = 2**25  # estimated size of a tuple target's count table
 
     def check(self, name: str, value: int, what: str) -> None:
         """Raise GuardExceeded when value is above the limit called name.

@@ -6,10 +6,13 @@ vertices are the (q+1)-tuples (i, x_1, ..., x_q) with i in 1..q, every x_j in
 between two distinct tuples u and v is min(v[u[0]], u[v[0]]): each endpoint's
 leading coordinate selects one coordinate of the other.
 
-Vertex ids follow the lexicographic order of the tuples. Ranking and
-unranking use precomputed prefix counts, so colors and homomorphism images
-are available without materializing the vertex list; explicit enumeration is
-lazy and guarded.
+Vertex ids follow the lexicographic order of the tuples. Inside this module a
+vertex is kept in sparse form: its lead and the at most d (position, value)
+pairs where it differs from k. One table of suffix counts, stored by budget,
+ranks that form in O(d) and unranks an id in O(d log q), so homomorphism
+images and edge colors never walk all q coordinates. The dense rank and
+unrank of full tuples are thin wrappers; explicit enumeration is a separate,
+lazy and guarded odometer.
 
 The module also hosts the search oracles: complete backtracking homomorphism
 search, exhaustive universality checking over all k-edge-colorings of a
@@ -19,6 +22,7 @@ graph, and exhaustive minimum-universal-target search over tiny instances.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 
 from .graphs import (
     LIMITS,
@@ -53,14 +57,19 @@ class UniversalTarget:
         self.k = k
         self.d = min(d, q)  # at most q coordinates exist
         self.limits = limits
-        # counts[t][r] = number of length-t suffixes with at most r non-k
-        # entries: the first entry is either k or one of k - 1 others
-        counts = [[1] * (self.d + 1)]
-        for _ in range(q):
-            prev = counts[-1]
-            counts.append([1] + [prev[r] + (k - 1) * prev[r - 1] for r in range(1, self.d + 1)])
-        self._counts = counts
-        self.block = counts[q][self.d]
+        # every count is at most (1 + q(k-1))^d; each entry also costs a
+        # reference and an object header, counted as 32 bytes
+        bits = self.d * (1 + q * (k - 1)).bit_length() + 1
+        size = (q + 1) * (self.d + 1) * (32 + (bits + 7) // 8)
+        limits.check("count_table_bytes", size, f"a count table of about {size} bytes")
+        # cols[b][L] = number of length-L words over 1..k with at most b
+        # letters other than k: the first letter is k or one of k - 1 others,
+        # so cols[b][L] = cols[b][L-1] + (k-1)·cols[b-1][L-1], increasing in L
+        cols = [[1] * (q + 1)]
+        for _ in range(self.d):
+            cols.append(list(itertools.accumulate(((k - 1) * c for c in cols[-1][:-1]), initial=1)))
+        self._cols = cols
+        self.block = cols[self.d][q]
         self.vertex_count = q * self.block
         self._vertices = None
 
@@ -70,11 +79,6 @@ class UniversalTarget:
     def header(self) -> dict:
         return {"q": self.q, "d": self.d, "k": self.k}
 
-    def _suffix_count(self, length: int, budget: int) -> int:
-        if budget < 0:
-            return 0
-        return self._counts[length][min(budget, self.d)]
-
     def is_vertex(self, vertex: tuple) -> bool:
         if len(vertex) != self.q + 1 or not (1 <= vertex[0] <= self.q):
             return False
@@ -82,42 +86,58 @@ class UniversalTarget:
             return False
         return sum(1 for x in vertex[1:] if x != self.k) <= self.d
 
+    def _rank(self, lead: int, coords: list[tuple[int, int]]) -> int:
+        """Id of the vertex with the given lead whose non-k coordinates are
+        the (position, value) pairs coords, in increasing position order.
+
+        Below a budget b, the (k-1)·cols[b-1][L-1] words that put a smaller
+        letter than k first are cols[b][L] - cols[b][L-1], so the words
+        skipped by a run of k's telescope to one difference per run.
+        """
+        cols = self._cols
+        acc = (lead - 1) * self.block
+        b, rest = self.d, self.q  # budget left, and coordinates from here on
+        for p, x in coords:
+            after = self.q - p
+            acc += cols[b][rest] - cols[b][after + 1] + (x - 1) * cols[b - 1][after]
+            b, rest = b - 1, after
+        return acc + cols[b][rest] - 1  # k's to the end: the last word
+
+    def _unrank(self, idx: int) -> tuple[int, dict]:
+        """(lead, {position: value}) of the vertex with the given id, the
+        non-k coordinates in increasing position order."""
+        if not (0 <= idx < self.vertex_count):
+            raise ValueError(f"vertex id {idx} outside 0..{self.vertex_count - 1}")
+        lead, rem = divmod(idx, self.block)
+        coords = {}
+        b, rest = self.d, self.q
+        while b:
+            col = self._cols[b]
+            # back counts the words from here on that do not come before this
+            # one: it lies in (col[L-1], col[L]] when the next non-k letter is
+            # L coordinates from the end, and is 1 when none is left
+            back = col[rest] - rem
+            length = bisect_left(col, back, 0, rest + 1)
+            if length == 0:
+                break
+            x, rem = divmod(col[length] - back, self._cols[b - 1][length - 1])
+            coords[self.q + 1 - length] = x + 1
+            b, rest = b - 1, length - 1
+        return lead + 1, coords
+
     def rank(self, vertex: tuple) -> int:
         """Lexicographic id of a tuple vertex."""
         if not self.is_vertex(vertex):
             raise ValueError(f"not a vertex of this target: {vertex!r}")
-        acc = (vertex[0] - 1) * self.block
-        budget = self.d
-        for t in range(1, self.q + 1):
-            x = vertex[t]
-            if x > 1:
-                acc += (x - 1) * self._suffix_count(self.q - t, budget - 1)
-            if x != self.k:
-                budget -= 1
-        return acc
+        return self._rank(vertex[0], [(p, x) for p, x in enumerate(vertex[1:], 1) if x != self.k])
 
     def unrank(self, idx: int) -> tuple:
         """Tuple vertex with the given lexicographic id."""
-        if not (0 <= idx < self.vertex_count):
-            raise ValueError(f"vertex id {idx} outside 0..{self.vertex_count - 1}")
-        lead, rem = divmod(idx, self.block)
-        out = [lead + 1]
-        budget = self.d
-        for t in range(1, self.q + 1):
-            for x in range(1, self.k + 1):
-                if x == self.k:
-                    cnt = self._suffix_count(self.q - t, budget)
-                else:
-                    cnt = self._suffix_count(self.q - t, budget - 1)
-                if rem < cnt:
-                    out.append(x)
-                    if x != self.k:
-                        budget -= 1
-                    break
-                rem -= cnt
-            else:
-                raise AssertionError("unrank walked past the digit range")
-        return tuple(out)
+        lead, coords = self._unrank(idx)
+        xs = [self.k] * self.q
+        for p, x in coords.items():
+            xs[p - 1] = x
+        return (lead, *xs)
 
     def _generate(self):
         """Tuple vertices in lexicographic order, stepping an odometer over the
@@ -201,26 +221,28 @@ def build_homomorphism(
     k = target.k
     images = []
     for u in range(graph.n):
-        xs = [k] * target.q
-        for parent in oriented.parents(u):
-            xs[out_col[parent] - 1] = source.edge_color(u, parent)
-        images.append(target.rank((out_col[u], *xs)))
+        coords = sorted((out_col[parent], source.edge_color(u, parent)) for parent in oriented.parents(u))
+        images.append(target._rank(out_col[u], [(p, x) for p, x in coords if x != k]))
     return Homomorphism(images)
 
 
 def verify_homomorphism(source: EdgeColoredGraph, target, hom: Homomorphism) -> bool:
     """True iff every source edge maps to a target edge of the same color.
 
-    The target may be an explicit EdgeColoredGraph or a UniversalTarget.
+    The target may be an explicit EdgeColoredGraph or a UniversalTarget; a
+    target with another edge palette than the source is a ValueError.
     """
     graph = source.graph
     if len(hom) != graph.n:
         raise ValueError("homomorphism must be total over the source vertices")
+    if source.k != target.k:
+        raise ValueError(f"edge palette mismatch: source k={source.k}, target k={target.k}")
     if isinstance(target, UniversalTarget):
-        tuples = [target.unrank(i) for i in hom.mapping]
+        k, ids = target.k, hom.mapping
+        sparse = [target._unrank(i) for i in ids]
         for u, v in graph.edges:
-            tu, tv = tuples[u], tuples[v]
-            if tu == tv or edge_color(tu, tv) != source.edge_color(u, v):
+            (lu, cu), (lv, cv) = sparse[u], sparse[v]
+            if ids[u] == ids[v] or min(cv.get(lu, k), cu.get(lv, k)) != source.edge_color(u, v):
                 return False
         return True
     tgraph = target.graph

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own algorithms so they can
 serve as independent ground truth: density by subset enumeration, orientation
 existence by pruned exhaustive assignment, star validity by the
-every-bicolored-component-is-a-star characterization.
+every-bicolored-component-is-a-star characterization, tuple-target ids by a
+walk over every coordinate and letter.
 """
 
 from __future__ import annotations
@@ -182,6 +183,50 @@ def aux_triples(oriented: OrientedGraph, star: VertexColoring) -> tuple[dict, di
             rules[rule] = rules.get(rule, 0) + 1
             heads[a] = heads.get(a, 0) + 1
     return rules, heads
+
+
+class DenseTupleOrder:
+    """Lexicographic ids of (q, d, k) tuple vertices by walking all q
+    coordinates and up to k letters at each: the O(q·k) reference for the
+    library's sparse rank and unrank."""
+
+    def __init__(self, q: int, d: int, k: int):
+        self.q, self.d, self.k = q, min(d, q), k
+        # counts[t][r] = number of length-t suffixes with at most r non-k entries
+        counts = [[1] * (self.d + 1)]
+        for _ in range(q):
+            prev = counts[-1]
+            counts.append([1] + [prev[r] + (k - 1) * prev[r - 1] for r in range(1, self.d + 1)])
+        self.counts = counts
+        self.block = counts[q][self.d]
+
+    def _suffix_count(self, length: int, budget: int) -> int:
+        return 0 if budget < 0 else self.counts[length][min(budget, self.d)]
+
+    def rank(self, vertex: tuple) -> int:
+        acc = (vertex[0] - 1) * self.block
+        budget = self.d
+        for t in range(1, self.q + 1):
+            x = vertex[t]
+            if x > 1:
+                acc += (x - 1) * self._suffix_count(self.q - t, budget - 1)
+            if x != self.k:
+                budget -= 1
+        return acc
+
+    def unrank(self, idx: int) -> tuple:
+        lead, rem = divmod(idx, self.block)
+        out = [lead + 1]
+        budget = self.d
+        for t in range(1, self.q + 1):
+            for x in range(1, self.k + 1):
+                cnt = self._suffix_count(self.q - t, budget if x == self.k else budget - 1)
+                if rem < cnt:
+                    out.append(x)
+                    budget -= x != self.k
+                    break
+                rem -= cnt
+        return tuple(out)
 
 
 def star_ok_by_components(graph: Graph, coloring: VertexColoring) -> bool:

@@ -183,6 +183,67 @@ def test_malformed_target_header_exits_two(tmp_path, capsys, command, key, value
     assert f"target header {key} must be an integer" in captured.err
 
 
+@pytest.mark.parametrize("key", ["q", "d", "k"])
+def test_target_header_names_a_missing_key(tmp_path, capsys, key):
+    src = tmp_path / "tri.ecg"
+    src.write_text(TRIANGLE_ECG)
+    hom_file = tmp_path / "tri.hom"
+    hom_file.write_text("0 0\n1 1\n2 2\n")
+    header = {"q": 6, "d": 2, "k": 2}
+    del header[key]
+    target_file = tmp_path / "target.json"
+    target_file.write_text(json.dumps(header))
+    assert cli.main(["verify", str(src), str(target_file), str(hom_file)]) == 2
+    assert f"target header has no {key}" in capsys.readouterr().err
+
+
+def test_verify_with_another_palette_exits_two(tmp_path, capsys):
+    src = tmp_path / "tri.ecg"
+    src.write_text("3 3 3\n0 1 1\n0 2 1\n1 2 3\n")
+    hom_file = tmp_path / "tri.hom"
+    hom_file.write_text("0 0\n1 1\n2 2\n")
+    target_file = tmp_path / "target.json"
+    target_file.write_text('{"q": 6, "d": 2, "k": 2}\n')
+    assert cli.main(["verify", str(src), str(target_file), str(hom_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "palette mismatch" in captured.err
+
+
+@pytest.mark.parametrize("header", [{"q": 4000, "d": 4000, "k": 3}, {"q": 250, "d": 250, "k": 10**100}])
+def test_verify_against_an_oversized_header_exits_three(tmp_path, capsys, header):
+    src = tmp_path / "tri.ecg"
+    src.write_text(TRIANGLE_ECG)
+    hom_file = tmp_path / "tri.hom"
+    hom_file.write_text("0 0\n1 1\n2 2\n")
+    target_file = tmp_path / "target.json"
+    target_file.write_text(json.dumps(header) + "\n")
+    assert cli.main(["verify", str(src), str(target_file), str(hom_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "count_table_bytes" in captured.err
+
+
+def test_guard_override_lifts_the_count_table_limit(tmp_path, capsys, monkeypatch):
+    # the (6, 2, 2) count table is estimated at 21 entries of 33 bytes
+    monkeypatch.setattr(cli, "LIMITS", Limits(count_table_bytes=600))
+    src = tmp_path / "tri.ecg"
+    src.write_text(TRIANGLE_ECG)
+    target_file = tmp_path / "target.json"
+    target_file.write_text('{"q": 6, "d": 2, "k": 2}\n')
+    hom_file = tmp_path / "tri.hom"
+    commands = [
+        ["build-target", "--q", "6", "--d", "2", "--k", "2"],
+        ["map", str(src), "--target", str(target_file), "--output", str(hom_file)],
+        ["verify", str(src), str(target_file), str(hom_file)],
+    ]
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 3
+    monkeypatch.setenv("ECTARGET_GUARD_OVERRIDE", "700")
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0
+
+
 def test_check_universal_commands(tmp_path, capsys):
     graph_file = tmp_path / "k2.g"
     graph_file.write_text(K2)

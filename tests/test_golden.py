@@ -32,6 +32,7 @@ def write_inputs(root):
         "fits.json": json.dumps({"q": 60, "d": 3, "k": 3}),
         "low_d.json": json.dumps({"q": 60, "d": 2, "k": 3}),
         "low_q.json": json.dumps({"q": 4, "d": 3, "k": 3}),
+        "class.json": json.dumps({"q": 15000, "d": 3, "k": 3}),
     }
     for name, text in files.items():
         (root / name).write_text(text)
@@ -52,6 +53,8 @@ CASES = [
     ("map-target-text", "map {}/src.g --target {}/fits.json --format text --output {}/target.hom", "target.hom"),
     ("map-target-low-d", "map {}/src.g --target {}/low_d.json", None),
     ("map-target-low-q", "map {}/src.g --target {}/low_q.json --format text", None),
+    ("map-class-target", "map {}/src.g --target {}/class.json --output {}/class.hom", "class.hom"),
+    ("verify-class-target", "verify {}/src.g {}/class.json {}/class.hom", None),
 ]
 
 GOLDEN = {
@@ -113,6 +116,16 @@ GOLDEN = {
     "map-target-low-q": [
         1,
         "6b534749f1630169941df551c3ce04d94fed8dc3d08cf01fe0501ccc652bb964",
+        None,
+    ],
+    "map-class-target": [
+        0,
+        "bbbba8b174cb2d561a93a16a61722a4b8bc9fab50fa30c87b483bd361b7f7ee3",
+        "48c53415c39fe25992607658a36cd98563246a6c3109d7ff5c5831c50e04d3c6",
+    ],
+    "verify-class-target": [
+        0,
+        "5bde941e80617baf8bc61be5a479bb561b8467ae5e4a7ef6fe7bd2ef6140e13b",
         None,
     ],
 }

@@ -24,11 +24,13 @@ OPERATIONS = {
     "min_target_p": (2, lambda lim: min_universal_size([Graph(2)], 2, 2, lim)),
     "explicit_vertices": (6, lambda lim: build_universal(2, 1, 2, lim).to_edge_colored_graph()),
     "listed_vertices": (6, lambda lim: build_universal(2, 1, 2, lim).vertices),
+    # 3 x 2 entries of 32 bytes and one byte of value bits each
+    "count_table_bytes": (198, lambda lim: build_universal(2, 1, 2, lim)),
 }
 
 
 def test_defaults():
-    assert LIMITS == Limits(20, 12, 64, 10**6, 5, 1000, 10**6)
+    assert LIMITS == Limits(20, 12, 64, 10**6, 5, 1000, 10**6, 2**25)
     assert sorted(OPERATIONS) == sorted(f.name for f in fields(Limits))
 
 
@@ -41,7 +43,7 @@ def test_limit_boundary(name):
 
 
 def test_raised_lifts_only_the_lower_limits():
-    assert LIMITS.raised(100) == Limits(100, 100, 100, 10**6, 100, 1000, 10**6)
+    assert LIMITS.raised(100) == Limits(100, 100, 100, 10**6, 100, 1000, 10**6, 2**25)
     assert LIMITS.raised(0) == LIMITS
 
 

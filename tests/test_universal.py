@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from ectarget.universal import (
     min_universal_size,
     verify_homomorphism,
 )
-from helpers import clique, path, random_coloring, recursion_limit
+from helpers import DenseTupleOrder, clique, path, random_coloring, recursion_limit
 
 
 def closed_form(q, d, k):
@@ -83,7 +84,9 @@ def test_materialization_guard():
 
 
 def test_rank_unrank_round_trip_small():
-    for q, d, k in [(1, 1, 2), (2, 1, 2), (3, 2, 3), (4, 4, 2), (2, 0, 4)]:
+    shapes = [(1, 1, 2), (2, 1, 2), (3, 2, 3), (4, 4, 2), (2, 0, 4)]
+    shapes += [(5, 2, 3), (6, 6, 2), (7, 3, 4), (9, 1, 2), (3, 0, 2)]
+    for q, d, k in shapes:
         target = build_universal(q, d, k)
         for idx, vertex in enumerate(target.vertices):
             assert target.rank(vertex) == idx
@@ -101,6 +104,20 @@ def test_rank_unrank_round_trip_large():
     target = build_universal(25, 3, 5)
     for idx in [0, 1, target.vertex_count - 1, 12345, target.vertex_count // 2]:
         assert target.rank(target.unrank(idx)) == idx
+
+
+@pytest.mark.parametrize("q, d, k", [(15000, 3, 3), (64, 3, 3), (40, 3, 3)])
+def test_rank_unrank_match_the_dense_walk(q, d, k):
+    target, dense = build_universal(q, d, k), DenseTupleOrder(q, d, k)
+    rng = random.Random(q)
+    ids = [0, target.vertex_count - 1] + [rng.randrange(target.vertex_count) for _ in range(500)]
+    for n, idx in enumerate(ids):
+        vertex = target.unrank(idx)
+        assert target.rank(vertex) == idx
+        # the dense rank is a bijection, so agreeing with it pins unrank too
+        assert dense.rank(vertex) == idx
+        if n < 10:  # the dense unrank takes 30 ms at q = 15000
+            assert dense.unrank(idx) == vertex
 
 
 def test_rank_rejects_invalid_tuples():
@@ -205,6 +222,30 @@ def test_verify_homomorphism_rejects_color_mismatch():
     assert not verify_homomorphism(source, target, Homomorphism([0, 1]))
 
 
+@pytest.mark.parametrize(
+    "u, v, color, ok",
+    [
+        ((1, 3, 3, 3), (1, 3, 3, 3), 3, False),  # collapsed edge, its color would match
+        ((1, 3, 3, 3), (2, 1, 3, 3), 1, True),
+        ((1, 3, 3, 3), (2, 1, 3, 3), 2, False),  # v's first coordinate decides
+        ((1, 3, 2, 3), (3, 3, 3, 1), 3, True),
+        ((1, 3, 2, 3), (3, 3, 3, 1), 2, False),  # both selected coordinates are the default k
+    ],
+)
+def test_verify_homomorphism_on_a_tuple_target(u, v, color, ok):
+    target = build_universal(3, 1, 3)
+    source = EdgeColoredGraph(Graph(2, [(0, 1)]), 3, {(0, 1): color})
+    assert verify_homomorphism(source, target, Homomorphism([target.rank(u), target.rank(v)])) is ok
+
+
+def test_verify_homomorphism_rejects_a_palette_mismatch():
+    g = Graph(2, [(0, 1)])
+    source = EdgeColoredGraph(g, 3, {(0, 1): 1})
+    for target in (build_universal(2, 1, 2), EdgeColoredGraph(g, 2, {(0, 1): 1})):
+        with pytest.raises(ValueError, match="palette mismatch"):
+            verify_homomorphism(source, target, Homomorphism([0, 1]))
+
+
 def test_find_homomorphism_identity_triangle():
     g = clique(3)
     mono = EdgeColoredGraph(g, 2, {e: 1 for e in g.sorted_edges})
@@ -242,10 +283,12 @@ def test_find_homomorphism_guards():
 @given(edge_colored_graphs(max_n=6, max_k=3))
 @settings(max_examples=60, deadline=None)
 def test_found_homomorphisms_always_verify(source):
+    # the target shares the source's palette, which verify_homomorphism requires
+    k = source.k
     target = EdgeColoredGraph(
         clique(4),
-        3,
-        {e: 1 + (i % 3) for i, e in enumerate(clique(4).sorted_edges)},
+        k,
+        {e: 1 + (i % k) for i, e in enumerate(clique(4).sorted_edges)},
     )
     hom = find_homomorphism(source, target)
     if hom is not None:
