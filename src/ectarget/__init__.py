@@ -20,7 +20,6 @@ from .bounds import (
     universal_upper_bound,
 )
 from .coloring import (
-    exact_acyclic_coloring,
     exact_star_coloring,
     greedy_star_coloring,
     verify_acyclic,
@@ -43,8 +42,6 @@ from .graphs import (
     Limits,
     OrientedGraph,
     VertexColoring,
-    induced_subgraph,
-    parse_coloring,
     parse_edge_colored,
     parse_graph,
     parse_homomorphism,
@@ -61,7 +58,6 @@ from .out_coloring import (
     build_out_coloring,
     out_coloring_from_universal,
     serialize_certificate,
-    verify_in_coloring,
     verify_out_coloring,
 )
 from .universal import (
@@ -102,19 +98,16 @@ __all__ = [
     "clique_genus",
     "densest_subgraph",
     "edge_color",
-    "exact_acyclic_coloring",
     "exact_star_coloring",
     "find_homomorphism",
     "find_orientation",
     "genus_density_bounds",
     "greedy_star_coloring",
-    "induced_subgraph",
     "min_orientation",
     "min_universal_size",
     "orientation_bound_from_target",
     "orientation_from_acyclic",
     "out_coloring_from_universal",
-    "parse_coloring",
     "parse_edge_colored",
     "parse_graph",
     "parse_homomorphism",
@@ -130,7 +123,6 @@ __all__ = [
     "universal_upper_bound",
     "verify_acyclic",
     "verify_homomorphism",
-    "verify_in_coloring",
     "verify_out_coloring",
     "verify_star",
 ]

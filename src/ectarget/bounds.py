@@ -119,7 +119,10 @@ def genus_density_bounds(g: int) -> tuple[float, float, int]:
     if g < 1:
         raise ValueError(f"genus must be at least 1 (planar handled separately), got {g}")
     t = ceil_sqrt(12 * g)
-    root = math.sqrt(3 * g)
+    try:
+        root = math.sqrt(3 * g)
+    except OverflowError:
+        raise ValueError("genus is too large for a floating-point density bound") from None
     return root - 0.5, root + 3.0, t
 
 

@@ -288,8 +288,16 @@ def _cmd_bounds(args) -> int:
         lower, upper, t = genus_density_bounds(args.g)
         _emit(args, {"lower": lower, "upper": upper, "t": t})
     else:
-        value = universal_upper_bound(args.r, args.d, args.k)
-        _emit(args, {"value": str(value), "parameters": {"r": args.r, "d": args.d, "k": args.k}})
+        r, d, k = args.r, args.d, args.k
+        # C(P, d) >= (P // d)**d = (8*r**4)**d for P = 8*d*r**4, so the value has more than
+        # bits*log10(2) digits; refuse before computing one too long to print (a limit of
+        # 0, or none before Python 3.10.7, means any length prints)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        bits = (8 * d * r**4).bit_length() - 1 + d * ((8 * r**4 * k).bit_length() - 1)
+        if min(r, d, k - 1) >= 1 and limit and bits * 30102 // 100000 >= limit:
+            raise ValueError(f"bounds upper: the value has more than {limit} digits, too many to print")
+        value = universal_upper_bound(r, d, k)
+        _emit(args, {"value": str(value), "parameters": {"r": r, "d": d, "k": k}})
     return 0
 
 

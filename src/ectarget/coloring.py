@@ -1,8 +1,8 @@
-"""Acyclic and star vertex colorings: verifiers, exact search, greedy heuristic.
+"""Acyclic and star vertex colorings: verifiers, exact star search, greedy heuristic.
 
 A proper coloring is acyclic when every two color classes induce a forest,
-and a star coloring when no path on four vertices is bicolored. Exact
-searches are guarded backtrackers meant for small instances; the greedy
+and a star coloring when no path on four vertices is bicolored. The exact
+star search is a guarded backtracker meant for small instances; the greedy
 heuristic is total and its output always verifies.
 """
 
@@ -100,41 +100,12 @@ def _star_safe(graph: Graph, assign: list, v: int, c: int) -> bool:
     return True
 
 
-def _acyclic_safe(graph: Graph, assign: list, v: int, c: int) -> bool:
-    """Would coloring v with c keep every bicolored subgraph a forest?"""
-    by_color = {}
-    for u in graph.neighbors(v):
-        cu = assign[u]
-        if cu == c:
-            return False
-        if cu:
-            by_color.setdefault(cu, []).append(u)
-    for c2, nbrs in by_color.items():
-        if len(nbrs) < 2:
-            continue
-        # v closes a bicolored cycle iff two of these neighbors are already
-        # connected inside the {c, c2} subgraph (excluding v itself)
-        remaining = set(nbrs)
-        while remaining:
-            start = remaining.pop()
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in graph.neighbors(x):
-                    if y == v or y in comp:
-                        continue
-                    if assign[y] in (c, c2) and assign[y]:
-                        comp.add(y)
-                        stack.append(y)
-            hits = comp & remaining
-            if hits:
-                return False
-            remaining -= comp
-    return True
+def exact_star_coloring(graph: Graph, c_max: int, limits: Limits = LIMITS) -> VertexColoring | None:
+    """Star coloring with at most c_max colors, or None if none exists.
 
-
-def _backtrack_coloring(graph: Graph, c_max: int, safe) -> VertexColoring | None:
+    Complete backtracking search; refuses graphs above limits.exact_coloring_n.
+    """
+    limits.check("exact_coloring_n", graph.n, f"exact star coloring of n={graph.n}")
     order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
     assign = [0] * graph.n
 
@@ -144,36 +115,18 @@ def _backtrack_coloring(graph: Graph, c_max: int, safe) -> VertexColoring | None
         v = order[pos]
         # new colors are tried in first-use order, which loses no solutions
         for c in range(1, min(used + 1, c_max) + 1):
-            if safe(graph, assign, v, c):
+            if _star_safe(graph, assign, v, c):
                 assign[v] = c
                 if rec(pos + 1, max(used, c)):
                     return True
                 assign[v] = 0
         return False
 
-    if c_max >= 1 and rec(0, 0):
-        return VertexColoring(max(assign), assign)
-    return None
-
-
-def exact_star_coloring(graph: Graph, c_max: int, limits: Limits = LIMITS) -> VertexColoring | None:
-    """Star coloring with at most c_max colors, or None if none exists.
-
-    Complete backtracking search; refuses graphs above limits.exact_coloring_n.
-    """
-    limits.check("exact_coloring_n", graph.n, f"exact star coloring of n={graph.n}")
-    result = _backtrack_coloring(graph, c_max, _star_safe)
-    if result is not None and not verify_star(graph, result):
+    if c_max < 1 or not rec(0, 0):
+        return None
+    result = VertexColoring(max(assign), assign)
+    if not verify_star(graph, result):
         raise AssertionError("exact star coloring failed its own verifier")
-    return result
-
-
-def exact_acyclic_coloring(graph: Graph, c_max: int, limits: Limits = LIMITS) -> VertexColoring | None:
-    """Acyclic coloring with at most c_max colors, or None if none exists."""
-    limits.check("exact_coloring_n", graph.n, f"exact acyclic coloring of n={graph.n}")
-    result = _backtrack_coloring(graph, c_max, _acyclic_safe)
-    if result is not None and not verify_acyclic(graph, result):
-        raise AssertionError("exact acyclic coloring failed its own verifier")
     return result
 
 

@@ -31,7 +31,7 @@ class GuardExceeded(RuntimeError):
 class Limits:
     """Size guards that keep the exhaustive operations at desk scale."""
 
-    exact_coloring_n: int = 20  # graph of an exact star or acyclic coloring search
+    exact_coloring_n: int = 20  # graph of an exact star coloring search
     search_source_n: int = 12  # source of a homomorphism search
     search_target_n: int = 64  # target of a homomorphism search
     colorings: int = 10**6  # k^m edge colorings a universality check enumerates
@@ -185,10 +185,6 @@ class OrientedGraph:
     def max_in_degree(self) -> int:
         return max(len(p) for p in self._parents)
 
-    def transpose(self) -> "OrientedGraph":
-        flipped = {e: (head, tail) for e, (tail, head) in self.direction.items()}
-        return OrientedGraph(self.graph, flipped)
-
 
 @dataclass(frozen=True)
 class VertexColoring:
@@ -228,26 +224,6 @@ class Homomorphism:
 
     def __len__(self) -> int:
         return len(self.mapping)
-
-
-def induced_subgraph(graph: Graph, vertices) -> Graph:
-    """Subgraph induced by a nonempty vertex set, re-indexed to 0..|S|-1.
-
-    New id i corresponds to the i-th smallest original id, so sorted(vertices)
-    is the provenance map from new ids back to the originals.
-    """
-    kept = sorted(set(vertices))
-    if not kept:
-        raise ValueError("induced subgraph needs a nonempty vertex set")
-    if kept[0] < 0 or kept[-1] >= graph.n:
-        raise ValueError(f"vertex set contains an id outside 0..{graph.n - 1}")
-    index = {v: i for i, v in enumerate(kept)}
-    edges = [
-        (index[u], index[v])
-        for u, v in graph.sorted_edges
-        if u in index and v in index
-    ]
-    return Graph(len(kept), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -379,38 +355,6 @@ def serialize_coloring(coloring: VertexColoring) -> str:
     lines = [f"palette {coloring.palette}"]
     lines += [f"{v} {c}" for v, c in enumerate(coloring.assign)]
     return "\n".join(lines) + "\n"
-
-
-def parse_coloring(text: str) -> VertexColoring:
-    lines = _content_lines(text)
-    if not lines:
-        raise GraphFormatError("empty input, expected a 'palette q' header")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "palette":
-        raise GraphFormatError(f"malformed coloring header {lines[0]!r}")
-    try:
-        palette = int(head[1])
-    except ValueError:
-        raise GraphFormatError(f"malformed coloring header {lines[0]!r}") from None
-    entries = {}
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"malformed coloring line {line!r}")
-        try:
-            v, c = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"malformed coloring line {line!r}") from None
-        if v in entries:
-            raise GraphFormatError(f"vertex {v} colored twice")
-        entries[v] = c
-    n = len(entries)
-    if set(entries) != set(range(n)):
-        raise GraphFormatError("coloring lines must cover vertex ids 0..n-1 exactly once")
-    try:
-        return VertexColoring(palette, [entries[v] for v in range(n)])
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
 
 
 def serialize_homomorphism(hom: Homomorphism) -> str:

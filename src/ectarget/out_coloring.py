@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .bounds import ceil_log
 from .coloring import verify_star
 from .graphs import LIMITS, EdgeColoredGraph, Limits, OrientedGraph, VertexColoring
 
@@ -70,30 +71,6 @@ def verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> bo
         for p in ps:
             for gp in oriented.parents(p):
                 if coloring[gp] == coloring[v]:
-                    return False
-    return True
-
-
-def verify_in_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> bool:
-    """Proper coloring where every bicolored 3-vertex path points at its middle.
-
-    A coloring is an out-coloring of an oriented graph exactly when it is an
-    in-coloring of the transpose.
-    """
-    if len(coloring) != oriented.graph.n:
-        return False
-    for u, v in oriented.graph.edges:
-        if coloring[u] == coloring[v]:
-            return False
-    for mid in range(oriented.graph.n):
-        nbrs = sorted(set(oriented.graph.neighbors(mid)))
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                if coloring[a] != coloring[b]:
-                    continue
-                ea = oriented.direction[(a, mid) if a < mid else (mid, a)]
-                eb = oriented.direction[(b, mid) if b < mid else (mid, b)]
-                if ea != (a, mid) or eb != (b, mid):
                     return False
     return True
 
@@ -212,11 +189,7 @@ def out_coloring_from_universal(
     graph = oriented.graph
     d = oriented.max_in_degree
     p = target.graph.n
-    digits = 1
-    power = k
-    while power < max(d, 1):
-        power *= k
-        digits += 1
+    digits = max(1, ceil_log(max(d, 1), k))
     parent_index = {}
     for v in range(graph.n):
         for j, parent in enumerate(oriented.parents(v), start=1):

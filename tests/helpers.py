@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms so they can
 serve as independent ground truth: density by subset enumeration, orientation
 existence by pruned exhaustive assignment, star validity by the
-every-bicolored-component-is-a-star characterization, tuple-target ids by a
-walk over every coordinate and letter.
+every-bicolored-component-is-a-star characterization, out-colorings as
+in-colorings of the transpose, tuple-target ids by a walk over every
+coordinate and letter.
 """
 
 from __future__ import annotations
@@ -183,6 +184,37 @@ def aux_triples(oriented: OrientedGraph, star: VertexColoring) -> tuple[dict, di
             rules[rule] = rules.get(rule, 0) + 1
             heads[a] = heads.get(a, 0) + 1
     return rules, heads
+
+
+def transpose(oriented: OrientedGraph) -> OrientedGraph:
+    """The same graph with every edge reversed."""
+    flipped = {e: (head, tail) for e, (tail, head) in oriented.direction.items()}
+    return OrientedGraph(oriented.graph, flipped)
+
+
+def verify_in_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> bool:
+    """Proper coloring where every bicolored 3-vertex path points at its middle.
+
+    A coloring is an out-coloring of an oriented graph exactly when it is an
+    in-coloring of the transpose, which makes the pair an independent
+    reference for the library's out-coloring verifier.
+    """
+    if len(coloring) != oriented.graph.n:
+        return False
+    for u, v in oriented.graph.edges:
+        if coloring[u] == coloring[v]:
+            return False
+    for mid in range(oriented.graph.n):
+        nbrs = sorted(set(oriented.graph.neighbors(mid)))
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1 :]:
+                if coloring[a] != coloring[b]:
+                    continue
+                ea = oriented.direction[(a, mid) if a < mid else (mid, a)]
+                eb = oriented.direction[(b, mid) if b < mid else (mid, b)]
+                if ea != (a, mid) or eb != (b, mid):
+                    return False
+    return True
 
 
 class DenseTupleOrder:

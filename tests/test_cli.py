@@ -1,8 +1,11 @@
 import json
+import sys
+import time
 
 import pytest
 
 from ectarget import cli, out_coloring
+from ectarget.bounds import universal_upper_bound
 from ectarget.graphs import (
     Limits,
     parse_edge_colored,
@@ -289,6 +292,23 @@ def test_bounds_commands(tmp_path, capsys):
     code, payload = run_json(capsys, "bounds", "upper", "--r", "1", "--d", "1", "--k", "2")
     assert code == 0
     assert payload["value"] == "128"
+
+
+def test_bounds_too_large_exit_two(capsys):
+    assert cli.main(["bounds", "genus", "--g", str(10**400)]) == 2
+    assert "too large" in capsys.readouterr().err
+
+    # 2669 is the largest d whose value, 4300 digits, still prints
+    code, payload = run_json(capsys, "bounds", "upper", "--r", "1", "--d", "2669", "--k", "2")
+    assert code == 0
+    assert payload["value"] == str(universal_upper_bound(1, 2669, 2))
+    assert len(payload["value"]) == sys.get_int_max_str_digits()
+
+    start = time.perf_counter()
+    code = cli.main(["bounds", "upper", "--r", "1", "--d", "1000000", "--k", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "more than 4300 digits" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

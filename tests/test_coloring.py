@@ -3,7 +3,6 @@ from hypothesis import given, settings
 
 from conftest import graph_with_coloring, graphs
 from ectarget.coloring import (
-    exact_acyclic_coloring,
     exact_star_coloring,
     greedy_star_coloring,
     verify_acyclic,
@@ -59,27 +58,9 @@ def test_exact_star_monotone_in_budget():
                 assert exact_star_coloring(g, c - 1) is None
 
 
-def test_exact_acyclic_c4():
-    assert exact_acyclic_coloring(cycle(4), 2) is None
-    col = exact_acyclic_coloring(cycle(4), 3)
-    assert col is not None
-    assert verify_acyclic(cycle(4), col)
-
-
-def test_exact_acyclic_tree_two_colors():
-    tree = Graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
-    col = exact_acyclic_coloring(tree, 2)
-    assert col is not None
-    assert col.palette <= 2
-    assert verify_acyclic(tree, col)
-
-
 def test_exact_searches_are_guarded():
-    big = Graph(21)
     with pytest.raises(GuardExceeded):
-        exact_star_coloring(big, 3)
-    with pytest.raises(GuardExceeded):
-        exact_acyclic_coloring(big, 3)
+        exact_star_coloring(Graph(21), 3)
 
 
 def test_greedy_star_edgeless():

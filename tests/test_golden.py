@@ -26,6 +26,7 @@ def write_inputs(root):
         "tri.g": serialize_graph(stacked_triangulation(60, seed=7)),
         "grid.g": serialize_graph(grid(5, 6)),
         "k6.g": serialize_graph(clique(6)),
+        "small.g": serialize_graph(stacked_triangulation(16, seed=5)),
         "edgeless.g": serialize_graph(Graph(5)),
         "edgeless.or": serialize_oriented(OrientedGraph(Graph(5), {})),
         "src.g": serialize(random_coloring(stacked_triangulation(40, seed=3), 3, random.Random(11))),
@@ -55,6 +56,12 @@ CASES = [
     ("map-target-low-q", "map {}/src.g --target {}/low_q.json --format text", None),
     ("map-class-target", "map {}/src.g --target {}/class.json --output {}/class.hom", "class.hom"),
     ("verify-class-target", "verify {}/src.g {}/class.json {}/class.hom", None),
+    ("star-color-tri", "star-color {}/tri.g --seed 2 --output {}/tri.col", "tri.col"),
+    ("star-color-exact-found", "star-color {}/small.g --exact 6 --format text --output {}/small.col", "small.col"),
+    ("star-color-exact-none", "star-color {}/small.g --exact 5", None),
+    ("bounds-planar", "bounds planar --k 3", None),
+    ("bounds-genus", "bounds genus --g 3", None),
+    ("bounds-upper", "bounds upper --r 5 --d 3 --k 2", None),
 ]
 
 GOLDEN = {
@@ -126,6 +133,36 @@ GOLDEN = {
     "verify-class-target": [
         0,
         "5bde941e80617baf8bc61be5a479bb561b8467ae5e4a7ef6fe7bd2ef6140e13b",
+        None,
+    ],
+    "star-color-tri": [
+        0,
+        "f00949f0eb57da84fb513812c128add48e55d7ee82657f535f70fb8177fd21b9",
+        "acf171c57e02c411052b1ed7d4d87b2e076c552ccd92cbcb7be3fd1ed22e505e",
+    ],
+    "star-color-exact-found": [
+        0,
+        "335fe92fb5cb612c0fa7b5109b8a404d8d1bc59276166d6aff49f3a23646932f",
+        "e2ef92edbaf8a871c08082f62f5b9c6267f147163851831107d4c71164abac12",
+    ],
+    "star-color-exact-none": [
+        1,
+        "646fd0c3c0385ace443d5468a6c2973684b73701e86fa37b2db5a8992074850f",
+        None,
+    ],
+    "bounds-planar": [
+        0,
+        "f635e99707692226b00aaef5ad9c9cd2077501f3e41c23818d2d0d2f48793b1d",
+        None,
+    ],
+    "bounds-genus": [
+        0,
+        "5e004a06c87c0c3febd991688a288aa007cc9e2440d96f5405e471d837634e58",
+        None,
+    ],
+    "bounds-upper": [
+        0,
+        "6d0db8f139e493293390db2c632a2bb7552d79e9dc78576b837f9f491f3e63eb",
         None,
     ],
 }

@@ -10,11 +10,10 @@ from ectarget.out_coloring import (
     build_out_coloring,
     out_coloring_from_universal,
     serialize_certificate,
-    verify_in_coloring,
     verify_out_coloring,
 )
 from ectarget.universal import build_universal, min_universal_size
-from helpers import aux_triples, clique, path, stacked_triangulation
+from helpers import aux_triples, clique, path, stacked_triangulation, transpose, verify_in_coloring
 
 
 def directed_path(n):
@@ -46,7 +45,7 @@ def test_out_coloring_rejects_improper():
 @settings(max_examples=200)
 def test_out_coloring_equals_in_coloring_of_transpose(pair):
     og, col = pair
-    assert verify_out_coloring(og, col) == verify_in_coloring(og.transpose(), col)
+    assert verify_out_coloring(og, col) == verify_in_coloring(transpose(og), col)
 
 
 @given(oriented_with_coloring(max_n=7))
