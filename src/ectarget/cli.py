@@ -84,7 +84,10 @@ def _target_header(text: str):
     """(q, d, k) of a compact target header, or None for an explicit target."""
     if not text.lstrip().startswith("{"):
         return None
-    header = json.loads(text)
+    try:
+        header = json.loads(text)
+    except RecursionError:
+        raise ValueError("target header nests too deeply") from None
     for key in "qdk":
         if key not in header:
             raise ValueError(f"target header has no {key}")

@@ -20,6 +20,7 @@ repair, within a (2d+1)*p^m budget.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -76,22 +77,31 @@ def verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> bo
 
 
 def _degeneracy_greedy(n: int, adjacency: dict, max_colors: int) -> list:
-    """Greedy coloring in reverse order of repeated minimum-degree removal.
+    """Greedy coloring in reverse smallest-last order (Matula-Beck 1983).
 
-    adjacency maps a vertex to the set of its (deduplicated, undirected)
-    neighbors. Every vertex keeps at most max_colors - 1 colored neighbors at
-    assignment time, which the caller guarantees via a degree bound.
+    Each step removes the remaining vertex of least (degree, id). A lazy heap
+    finds it in O((n + m) log n): a vertex's degree only falls, and each fall
+    pushes a new entry, so an entry is stale exactly when its degree is no
+    longer the vertex's current one. adjacency maps a vertex to the set of
+    its (deduplicated, undirected) neighbors. Every vertex keeps at most
+    max_colors - 1 colored neighbors at assignment time, which the caller
+    guarantees via a degree bound.
     """
-    degree = {v: len(adjacency.get(v, ())) for v in range(n)}
-    remaining = set(range(n))
+    degree = [len(adjacency.get(v, ())) for v in range(n)]
+    heap = [(deg, v) for v, deg in enumerate(degree)]
+    heapq.heapify(heap)
+    removed = [False] * n
     removal = []
-    while remaining:
-        v = min(remaining, key=lambda x: (degree[x], x))
+    while heap:
+        deg, v = heapq.heappop(heap)
+        if deg != degree[v]:
+            continue
+        removed[v] = True
         removal.append(v)
-        remaining.remove(v)
         for u in adjacency.get(v, ()):
-            if u in remaining:
+            if not removed[u]:
                 degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
     colors = [0] * n
     for v in reversed(removal):
         used = {colors[u] for u in adjacency.get(v, ()) if colors[u]}

@@ -5,7 +5,8 @@ serve as independent ground truth: density by subset enumeration, orientation
 existence by pruned exhaustive assignment, star validity by the
 every-bicolored-component-is-a-star characterization, out-colorings as
 in-colorings of the transpose, tuple-target ids by a walk over every
-coordinate and letter.
+coordinate and letter, smallest-last order by a scan of every remaining
+vertex.
 """
 
 from __future__ import annotations
@@ -215,6 +216,33 @@ def verify_in_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> boo
                 if ea != (a, mid) or eb != (b, mid):
                     return False
     return True
+
+
+def scan_degeneracy_greedy(n: int, adjacency: dict, max_colors: int) -> list:
+    """Greedy coloring in reverse smallest-last order, finding each next
+    vertex by a min() over all remaining ones: the O(n²) reference for the
+    library's heap-ordered _degeneracy_greedy, with the same (degree, id)
+    tie-break and the same max_colors AssertionError."""
+    degree = {v: len(adjacency.get(v, ())) for v in range(n)}
+    remaining = set(range(n))
+    removal = []
+    while remaining:
+        v = min(remaining, key=lambda x: (degree[x], x))
+        removal.append(v)
+        remaining.remove(v)
+        for u in adjacency.get(v, ()):
+            if u in remaining:
+                degree[u] -= 1
+    colors = [0] * n
+    for v in reversed(removal):
+        used = {colors[u] for u in adjacency.get(v, ()) if colors[u]}
+        c = 1
+        while c in used:
+            c += 1
+        if c > max_colors:
+            raise AssertionError(f"greedy coloring exceeded {max_colors} colors")
+        colors[v] = c
+    return colors
 
 
 class DenseTupleOrder:

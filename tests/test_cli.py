@@ -200,6 +200,27 @@ def test_target_header_names_a_missing_key(tmp_path, capsys, key):
     assert f"target header has no {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "map", "check-universal"])
+def test_deeply_nested_target_header_exits_two(tmp_path, capsys, command):
+    src = tmp_path / "tri.ecg"
+    src.write_text(TRIANGLE_ECG)
+    hom_file = tmp_path / "tri.hom"
+    hom_file.write_text("0 0\n1 1\n2 2\n")
+    graph_file = tmp_path / "k2.g"
+    graph_file.write_text(K2)
+    target_file = tmp_path / "deep.json"
+    target_file.write_text('{"a":' * 100_000)
+    argv = {
+        "verify": ["verify", str(src), str(target_file), str(hom_file)],
+        "map": ["map", str(src), "--target", str(target_file)],
+        "check-universal": ["check-universal", str(target_file), "--graph", str(graph_file), "--k", "2"],
+    }[command]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "target header nests too deeply" in captured.err
+
+
 def test_verify_with_another_palette_exits_two(tmp_path, capsys):
     src = tmp_path / "tri.ecg"
     src.write_text("3 3 3\n0 1 1\n0 2 1\n1 2 3\n")

@@ -34,6 +34,8 @@ def write_inputs(root):
         "low_d.json": json.dumps({"q": 60, "d": 2, "k": 3}),
         "low_q.json": json.dumps({"q": 4, "d": 3, "k": 3}),
         "class.json": json.dumps({"q": 15000, "d": 3, "k": 3}),
+        "large.g": serialize(random_coloring(stacked_triangulation(1500, seed=4), 3, random.Random(12))),
+        "large.json": json.dumps({"q": 64, "d": 3, "k": 3}),
     }
     for name, text in files.items():
         (root / name).write_text(text)
@@ -56,6 +58,7 @@ CASES = [
     ("map-target-low-q", "map {}/src.g --target {}/low_q.json --format text", None),
     ("map-class-target", "map {}/src.g --target {}/class.json --output {}/class.hom", "class.hom"),
     ("verify-class-target", "verify {}/src.g {}/class.json {}/class.hom", None),
+    ("map-large-target", "map {}/large.g --target {}/large.json --output {}/large.hom", "large.hom"),
     ("star-color-tri", "star-color {}/tri.g --seed 2 --output {}/tri.col", "tri.col"),
     ("star-color-exact-found", "star-color {}/small.g --exact 6 --format text --output {}/small.col", "small.col"),
     ("star-color-exact-none", "star-color {}/small.g --exact 5", None),
@@ -134,6 +137,11 @@ GOLDEN = {
         0,
         "5bde941e80617baf8bc61be5a479bb561b8467ae5e4a7ef6fe7bd2ef6140e13b",
         None,
+    ],
+    "map-large-target": [
+        0,
+        "ef4421c0711173e47eeadb9058e0585bc0b7dad343b9c9f84547e071a2f8fd99",
+        "32dd2dd40e3521fcf47d929f274a2ef134856be6c415af5a0a8109a902572dc1",
     ],
     "star-color-tri": [
         0,

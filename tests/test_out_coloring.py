@@ -1,3 +1,7 @@
+import time
+from itertools import combinations
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -7,13 +11,22 @@ from ectarget.density import min_orientation
 from ectarget.graphs import EdgeColoredGraph, Graph, OrientedGraph, VertexColoring
 from ectarget.out_coloring import (
     TargetNotUniversal,
+    _degeneracy_greedy,
     build_out_coloring,
     out_coloring_from_universal,
     serialize_certificate,
     verify_out_coloring,
 )
 from ectarget.universal import build_universal, min_universal_size
-from helpers import aux_triples, clique, path, stacked_triangulation, transpose, verify_in_coloring
+from helpers import (
+    aux_triples,
+    clique,
+    path,
+    scan_degeneracy_greedy,
+    stacked_triangulation,
+    transpose,
+    verify_in_coloring,
+)
 
 
 def directed_path(n):
@@ -123,6 +136,56 @@ def test_rule_counts_match_the_rule_definitions(og):
     rules, _ = aux_triples(og, star)
     assert cert.rule_counts == rules
     assert verify_out_coloring(og, cert.coloring)
+
+
+@st.composite
+def adjacency_dicts(draw):
+    """(n, adjacency, max_colors) with relabeled vertices, some isolated
+    vertices left out of the dict, and either random edges or disjoint equal
+    cliques, where every vertex ties on degree."""
+    n = draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        pairs = list(combinations(range(n), 2))
+        edges = draw(st.sets(st.sampled_from(pairs), max_size=60)) if pairs else set()
+    else:
+        size = draw(st.integers(1, 5))
+        edges = {(u, v) for u, v in combinations(range(n), 2) if u // size == v // size}
+    label = draw(st.permutations(range(n)))
+    adjacency = {v: set() for v in range(n)}
+    for u, v in edges:
+        adjacency[label[u]].add(label[v])
+        adjacency[label[v]].add(label[u])
+    for v in range(n):
+        if not adjacency[v] and draw(st.booleans()):
+            del adjacency[v]
+    return n, adjacency, draw(st.integers(1, 6))
+
+
+@given(adjacency_dicts())
+@settings(max_examples=300)
+def test_heap_order_colors_exactly_as_the_scan(case):
+    n, adjacency, max_colors = case
+    try:
+        expected = scan_degeneracy_greedy(n, adjacency, max_colors)
+    except AssertionError:
+        with pytest.raises(AssertionError, match=f"exceeded {max_colors} colors"):
+            _degeneracy_greedy(n, adjacency, max_colors)
+    else:
+        assert _degeneracy_greedy(n, adjacency, max_colors) == expected
+
+
+@pytest.mark.parametrize("kind", ["path", "edgeless"])
+def test_smallest_last_order_on_twenty_thousand_vertices_is_fast(kind):
+    n = 20000
+    if kind == "path":
+        adjacency = {v: {u for u in (v - 1, v + 1) if 0 <= u < n} for v in range(n)}
+    else:
+        adjacency = {}
+    start = time.perf_counter()
+    colors = _degeneracy_greedy(n, adjacency, 2)
+    assert time.perf_counter() - start < 2.0
+    assert len(colors) == n
+    assert max(colors) == (2 if kind == "path" else 1)
 
 
 def test_certificate_serialization_header():
