@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 verified negative (infeasible, not found, or
 counterexample), 2 usage or input error, 3 size guard exceeded. Commands
 that emit a constructed object always run the matching verifier first.
 Identical inputs and seed produce byte-identical output. The environment
-variable ECTARGET_GUARD_OVERRIDE raises each of the eight size limits of
+variable ECTARGET_GUARD_OVERRIDE raises each of the nine size limits of
 ``Limits`` that is below the given integer to it (searches can then be very
 slow); only the commands that hit a limit read it.
 """
@@ -60,6 +60,15 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _sized(parsed):
+    """The parsed plain, oriented or edge-colored graph, refused before any
+    work of its size when it has more than graph_n vertices."""
+    n = getattr(parsed, "graph", parsed).n
+    if n > LIMITS.graph_n:  # the override is read only when a limit is hit
+        _limits().check("graph_n", n, f"a graph of {n} vertices")
+    return parsed
+
+
 def _emit(args, payload: dict) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -99,17 +108,17 @@ def _target_header(text: str):
 def _load_target(path: str, limits: Limits):
     text = _read(path)
     header = _target_header(text)
-    return parse_edge_colored(text) if header is None else build_universal(*header, limits)
+    return _sized(parse_edge_colored(text)) if header is None else build_universal(*header, limits)
 
 
 def _cmd_density(args) -> int:
-    dens = densest_subgraph(parse_graph(_read(args.graph)))
+    dens = densest_subgraph(_sized(parse_graph(_read(args.graph))))
     _emit(args, {"density": str(dens.value), "witness": list(dens.witness)})
     return 0
 
 
 def _cmd_orient(args) -> int:
-    graph = parse_graph(_read(args.graph))
+    graph = _sized(parse_graph(_read(args.graph)))
     if args.d is None:
         d, oriented = min_orientation(graph)
     else:
@@ -134,7 +143,7 @@ def _cmd_orient(args) -> int:
 
 
 def _cmd_star_color(args) -> int:
-    graph = parse_graph(_read(args.graph))
+    graph = _sized(parse_graph(_read(args.graph)))
     if args.exact is not None:
         coloring = exact_star_coloring(graph, args.exact, _limits())
         if coloring is None:
@@ -157,8 +166,8 @@ def _cmd_star_color(args) -> int:
 
 
 def _cmd_out_color(args) -> int:
-    graph = parse_graph(_read(args.graph))
-    oriented = parse_oriented(_read(args.orientation))
+    graph = _sized(parse_graph(_read(args.graph)))
+    oriented = _sized(parse_oriented(_read(args.orientation)))
     if oriented.graph != graph:
         raise ValueError("orientation file does not match the graph file")
     star = greedy_star_coloring(graph, seed=args.seed)
@@ -199,7 +208,7 @@ def _cmd_build_target(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    source = parse_edge_colored(_read(args.source))
+    source = _sized(parse_edge_colored(_read(args.source)))
     if args.k is not None and args.k != source.k:
         raise ValueError(f"--k {args.k} does not match the file palette k={source.k}")
     graph = source.graph
@@ -251,7 +260,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    source = parse_edge_colored(_read(args.source))
+    source = _sized(parse_edge_colored(_read(args.source)))
     target = _load_target(args.target, _limits())
     hom = parse_homomorphism(_read(args.homomorphism))
     ok = verify_homomorphism(source, target, hom)
@@ -262,7 +271,7 @@ def _cmd_verify(args) -> int:
 def _cmd_check_universal(args) -> int:
     limits = _limits()
     target = _load_target(args.target, limits)
-    graph = parse_graph(_read(args.graph))
+    graph = _sized(parse_graph(_read(args.graph)))
     counterexample = check_universal(target, graph, args.k, limits)
     if counterexample is None:
         _emit(args, {"universal": True})
@@ -272,7 +281,7 @@ def _cmd_check_universal(args) -> int:
 
 
 def _cmd_min_target(args) -> int:
-    graphs = [parse_graph(_read(path)) for path in args.graphs]
+    graphs = [_sized(parse_graph(_read(path))) for path in args.graphs]
     result = min_universal_size(graphs, args.k, args.max_p, _limits())
     if result is None:
         _emit(args, {"found": False, "max_p": args.max_p})

@@ -39,6 +39,7 @@ class Limits:
     explicit_vertices: int = 1000  # tuple target written out as an explicit graph
     listed_vertices: int = 10**6  # tuple target whose vertices are listed
     count_table_bytes: int = 2**25  # estimated size of a tuple target's count table
+    graph_n: int = 10**6  # vertices of a graph file the command line reads
 
     def check(self, name: str, value: int, what: str) -> None:
         """Raise GuardExceeded when value is above the limit called name.
@@ -132,6 +133,15 @@ class EdgeColoredGraph:
 
     def edge_color(self, u: int, v: int) -> int:
         return self.color[(u, v) if u < v else (v, u)]
+
+    @cached_property
+    def by_color(self) -> tuple[dict[int, set[int]], ...]:
+        """For each vertex, its neighbors grouped by the color of the joining edge."""
+        by_color = tuple({} for _ in range(self.graph.n))
+        for (a, b), c in self.color.items():
+            by_color[a].setdefault(c, set()).add(b)
+            by_color[b].setdefault(c, set()).add(a)
+        return by_color
 
 
 @dataclass(frozen=True)

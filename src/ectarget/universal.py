@@ -271,16 +271,18 @@ def find_homomorphism(source: EdgeColoredGraph, target, limits: Limits = LIMITS)
 
     Source vertices are assigned in descending degree order, candidates in
     ascending id order, with forward checking against the colored adjacency
-    of already-assigned neighbors. Limits bound both graph sizes.
+    of already-assigned neighbors. That adjacency is built once per explicit
+    target object and reused by every later search into it; a tuple target
+    is written out anew on each call. Limits bound both graph sizes, and a
+    target with another edge palette than the source is a ValueError.
     """
+    if source.k != target.k:
+        raise ValueError(f"edge palette mismatch: source k={source.k}, target k={target.k}")
     target = _search_target(target, limits)
     graph = source.graph
     tgraph = target.graph
     limits.check("search_source_n", graph.n, f"search source of {graph.n} vertices")
-    by_color = [dict() for _ in range(tgraph.n)]
-    for (a, b), c in target.color.items():
-        by_color[a].setdefault(c, set()).add(b)
-        by_color[b].setdefault(c, set()).add(a)
+    by_color = target.by_color
     order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
     assigned = [-1] * graph.n
     all_targets = frozenset(range(tgraph.n))
@@ -332,10 +334,11 @@ def check_universal(
     """First k-edge-coloring of the graph with no homomorphism, or None.
 
     Colorings are enumerated lexicographically over the sorted edge list, so
-    a returned counterexample is the lexicographically least one.
+    a returned counterexample is the lexicographically least one. A k other
+    than the target's edge palette is a ValueError.
     """
-    if k < 2:
-        raise ValueError(f"edge palette must satisfy k >= 2, got {k}")
+    if k != target.k:
+        raise ValueError(f"edge palette mismatch: k={k}, target k={target.k}")
     m = graph.m
     limits.check("colorings", k**m, f"enumerating {k}^{m} colorings")
     target = _search_target(target, limits)

@@ -285,6 +285,18 @@ def test_check_universal_commands(tmp_path, capsys):
     assert counterexample.color == {(0, 1): 2}
 
 
+@pytest.mark.parametrize("header, k", [({"q": 2, "d": 1, "k": 2}, 3), ({"q": 2, "d": 1, "k": 3}, 2)])
+def test_check_universal_with_another_palette_exits_two(tmp_path, capsys, header, k):
+    graph_file = tmp_path / "p5.g"
+    graph_file.write_text(serialize_graph(path(5)))
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps(header))
+    assert cli.main(["check-universal", str(target), "--graph", str(graph_file), "--k", str(k)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "palette mismatch" in captured.err
+
+
 def test_min_target_command(tmp_path, capsys):
     graph_file = tmp_path / "k2.g"
     graph_file.write_text(K2)
@@ -394,6 +406,57 @@ def test_non_integer_guard_override_exits_two(tmp_path, capsys, monkeypatch):
     assert "ECTARGET_GUARD_OVERRIDE must be an integer" in capsys.readouterr().err
     # a command that reaches no limit does not read the override
     assert run(capsys, "star-color", str(graph_file))[0] == 0
+
+
+# each command reading a 5-vertex graph file: {g} plain, {o} oriented, {s}
+# edge-colored, and as an explicit target
+GRAPH_COMMANDS = {
+    "density": ["density", "{g}"],
+    "orient": ["orient", "{g}"],
+    "star-color": ["star-color", "{g}"],
+    "out-color": ["out-color", "{g}", "--orientation", "{o}"],
+    "map": ["map", "{s}"],
+    "verify": ["verify", "{s}", "{t}", "{h}"],
+    "verify-explicit-target": ["verify", "{tri}", "{s}", "{h}"],
+    "check-universal": ["check-universal", "{t}", "--graph", "{g}", "--k", "2"],
+    "check-universal-explicit-target": ["check-universal", "{s}", "--graph", "{k2}", "--k", "2"],
+    "min-target": ["min-target", "{k2}", "{g}", "--max-p", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRAPH_COMMANDS))
+def test_a_graph_above_the_vertex_limit_exits_three(tmp_path, capsys, monkeypatch, command):
+    files = {
+        "g": "5 0 1\n",
+        "o": "5 0 1\n",
+        "s": "5 0 2\n",
+        "tri": TRIANGLE_ECG,
+        "k2": K2,
+        "t": '{"q": 2, "d": 1, "k": 2}\n',
+        "h": "0 0\n1 1\n2 2\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(**{name: tmp_path / name for name in files}) for arg in GRAPH_COMMANDS[command]]
+    monkeypatch.setattr(cli, "LIMITS", Limits(graph_n=4))
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a graph of 5 vertices exceeds the limit graph_n=4" in captured.err
+    monkeypatch.setenv("ECTARGET_GUARD_OVERRIDE", "5")
+    assert run(capsys, *argv)[0] in (0, 1, 2)
+
+
+def test_a_billion_vertex_header_exits_three_before_any_work(tmp_path, capsys):
+    # 15 bytes that promise a billion vertices, refused before anything is sized by n
+    source = tmp_path / "huge.ecg"
+    source.write_text("1000000000 0 2")
+    target = tmp_path / "t.json"
+    target.write_text('{"q": 2, "d": 1, "k": 2}\n')
+    hom_file = tmp_path / "h.hom"
+    hom_file.write_text("0 0\n")
+    assert cli.main(["verify", str(source), str(target), str(hom_file)]) == 3
+    assert "graph_n=1000000" in capsys.readouterr().err
 
 
 def test_check_universal_on_a_long_path_exits_three(tmp_path, capsys):

@@ -5,7 +5,8 @@ homomorphism files, some well-formed and some not, and runs one command on
 them. Whatever the input, the command must return one of the documented
 exit codes. Every integer a file or argument can carry is small, except the
 ``bounds`` arguments, whose cost the command bounds itself, so no example
-allocates much memory.
+allocates much memory. The exhaustive searches of ``check-universal`` and
+``min-target`` run under lowered limits, which keep each example short.
 """
 
 import contextlib
@@ -15,11 +16,12 @@ import pathlib
 import tempfile
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from conftest import edge_colored_graphs
 from ectarget import cli
-from ectarget.graphs import OrientedGraph, serialize, serialize_graph, serialize_oriented
+from ectarget.graphs import Limits, OrientedGraph, serialize, serialize_graph, serialize_oriented
 
 SMALL = st.integers(-2, 9)
 JUNK = st.sampled_from(["", "x", "-", ">", "<", "#", "1.5", "0x1", "1e3", "{", "}", "[]", "nan"])
@@ -48,7 +50,8 @@ def spoiled(draw, text: str) -> str:
 
 @st.composite
 def graph_files(draw) -> dict:
-    """Plain, oriented and edge-colored files of one small graph, each maybe spoiled."""
+    """Plain, oriented and edge-colored files of one small graph, each maybe
+    spoiled, and the plain and edge-colored files as written."""
     colored = draw(edge_colored_graphs(max_n=6, max_k=3))
     directions = draw(st.lists(st.booleans(), min_size=colored.graph.m, max_size=colored.graph.m))
     oriented = OrientedGraph(
@@ -59,6 +62,8 @@ def graph_files(draw) -> dict:
         "g": draw(spoiled(serialize_graph(colored.graph))),
         "o": draw(spoiled(serialize_oriented(oriented))),
         "s": draw(spoiled(serialize(colored))),
+        "G": serialize_graph(colored.graph),
+        "C": serialize(colored),
     }
 
 
@@ -77,7 +82,12 @@ HOMOMORPHISM = st.one_of(
 )
 BIG = st.one_of(st.integers(1, 9), SMALL, st.integers(-(10**7), 10**7), st.integers(-(10**500), 10**500)).map(str)
 
-# argv lists in which {g}, {o}, {s}, {t} and {h} stand for the files
+# values that let the exhaustive searches run, and limits that keep them short
+PALETTE = st.sampled_from(["1", "2", "2", "3", "3"])
+SIZE = st.sampled_from(["0", "1", "2", "3", "3", "4"])
+SEARCH_LIMITS = Limits(colorings=256, min_target_p=3)
+
+# argv lists in which {g}, {o}, {s}, {G}, {C}, {t} and {h} stand for the files
 COMMANDS = st.one_of(
     st.just(["density", "{g}"]),
     st.lists(TOKEN, max_size=1).map(lambda d: ["orient", "{g}"] + (["--d"] + d if d else [])),
@@ -86,6 +96,12 @@ COMMANDS = st.one_of(
     st.sampled_from([["map", "{s}"], ["map", "{s}", "--target", "{t}"], ["map", "{s}", "--k", "2"]]),
     st.just(["verify", "{s}", "{t}", "{h}"]),
     st.tuples(TOKEN, TOKEN, TOKEN).map(lambda a: ["build-target", "--q", a[0], "--d", a[1], "--k", a[2]]),
+    st.tuples(st.sampled_from(["{t}", "{s}", "{C}"]), st.sampled_from(["{g}", "{G}"]), PALETTE).map(
+        lambda a: ["check-universal", a[0], "--graph", a[1], "--k", a[2]]
+    ),
+    st.tuples(st.sampled_from(["{g}", "{G}"]), PALETTE, SIZE).map(
+        lambda a: ["min-target", a[0], "--k", a[1], "--max-p", a[2]]
+    ),
     TOKEN.map(lambda k: ["bounds", "planar", "--k", k]),
     BIG.map(lambda g: ["bounds", "genus", "--g", g]),
     st.tuples(BIG, BIG, BIG).map(lambda a: ["bounds", "upper", "--r", a[0], "--d", a[1], "--k", a[2]]),
@@ -103,5 +119,7 @@ def test_cli_exit_codes_on_malformed_input(argv, files, header, homomorphism):
         for name in files:
             argv = [arg.replace("{%s}" % name, str(root / name)) for arg in argv]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "LIMITS", SEARCH_LIMITS)
+                code = cli.main(argv)
     assert code in (0, 1, 2, 3)

@@ -18,7 +18,7 @@ import pytest
 
 from ectarget import cli
 from ectarget.graphs import Graph, OrientedGraph, serialize, serialize_graph, serialize_oriented
-from helpers import clique, grid, random_coloring, stacked_triangulation
+from helpers import clique, cycle, grid, path, random_coloring, stacked_triangulation
 
 
 def write_inputs(root):
@@ -36,6 +36,11 @@ def write_inputs(root):
         "class.json": json.dumps({"q": 15000, "d": 3, "k": 3}),
         "large.g": serialize(random_coloring(stacked_triangulation(1500, seed=4), 3, random.Random(12))),
         "large.json": json.dumps({"q": 64, "d": 3, "k": 3}),
+        "grid23.g": serialize_graph(grid(2, 3)),
+        "p3.g": serialize_graph(path(3)),
+        "c4.g": serialize_graph(cycle(4)),
+        "u212.json": json.dumps({"q": 2, "d": 1, "k": 2}),
+        "u322.json": json.dumps({"q": 3, "d": 2, "k": 2}),
     }
     for name, text in files.items():
         (root / name).write_text(text)
@@ -65,6 +70,9 @@ CASES = [
     ("bounds-planar", "bounds planar --k 3", None),
     ("bounds-genus", "bounds genus --g 3", None),
     ("bounds-upper", "bounds upper --r 5 --d 3 --k 2", None),
+    ("check-universal-grid", "check-universal {}/u322.json --graph {}/grid23.g --k 2", None),
+    ("check-universal-counterexample", "check-universal {}/u212.json --graph {}/grid23.g --k 2", None),
+    ("min-target-output", "min-target {}/p3.g {}/c4.g --k 2 --max-p 5 --output {}/min.ecg", "min.ecg"),
 ]
 
 GOLDEN = {
@@ -172,6 +180,21 @@ GOLDEN = {
         0,
         "6d0db8f139e493293390db2c632a2bb7552d79e9dc78576b837f9f491f3e63eb",
         None,
+    ],
+    "check-universal-grid": [
+        0,
+        "c63f65daf3d8652d2fd6d5ad141df6ec01da817ee9c6745169ca8c431269481a",
+        None,
+    ],
+    "check-universal-counterexample": [
+        1,
+        "137dff2580c9dbf67b645db5b4cac653ed05e338c8cf53fa9170df9ea2ebaf02",
+        None,
+    ],
+    "min-target-output": [
+        0,
+        "3c8e8fcbbde1fc82b52594423c318dc793f52224dda767e2b37fb1b062817e56",
+        "c36db1f31fe60418735b44b1f9a2c8103f2dd8395dc624a23dd7f345e804d96b",
     ],
 }
 

@@ -118,6 +118,12 @@ def test_edge_colored_graph_validation():
         EdgeColoredGraph(g, 2, {(0, 1): 1, (1, 2): 3})
 
 
+def test_colored_adjacency_groups_neighbors_by_edge_color():
+    colored = EdgeColoredGraph(Graph(4, [(0, 1), (1, 2), (1, 3)]), 3, {(0, 1): 1, (1, 2): 3, (1, 3): 1})
+    assert colored.by_color == ({1: {1}}, {1: {0, 3}, 3: {2}}, {3: {1}}, {1: {1}})
+    assert EdgeColoredGraph(Graph(2), 2, {}).by_color == ({}, {})
+
+
 def test_oriented_graph_validation():
     g = Graph(2, [(0, 1)])
     og = OrientedGraph(g, {(0, 1): (1, 0)})

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from ectarget import cli
 from ectarget.coloring import exact_star_coloring
 from ectarget.graphs import LIMITS, EdgeColoredGraph, Graph, GuardExceeded, Limits
 from ectarget.universal import build_universal, check_universal, find_homomorphism, min_universal_size
@@ -11,6 +12,15 @@ from helpers import path
 
 POINT = EdgeColoredGraph(Graph(1), 2, {})
 P3_TARGET = EdgeColoredGraph(path(3), 2, {(0, 1): 1, (1, 2): 2})
+
+
+def read_by_cli(limits):
+    """Check a parsed 5-vertex graph file as the command line does, which
+    reads its limits from cli.LIMITS."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "LIMITS", limits)
+        cli._sized(Graph(5))
+
 
 # limit name -> (the value an operation measures against it, the operation)
 OPERATIONS = {
@@ -23,11 +33,12 @@ OPERATIONS = {
     "listed_vertices": (6, lambda lim: build_universal(2, 1, 2, lim).vertices),
     # 3 x 2 entries of 32 bytes and one byte of value bits each
     "count_table_bytes": (198, lambda lim: build_universal(2, 1, 2, lim)),
+    "graph_n": (5, read_by_cli),
 }
 
 
 def test_defaults():
-    assert LIMITS == Limits(20, 12, 64, 10**6, 5, 1000, 10**6, 2**25)
+    assert LIMITS == Limits(20, 12, 64, 10**6, 5, 1000, 10**6, 2**25, 10**6)
     assert sorted(OPERATIONS) == sorted(f.name for f in fields(Limits))
 
 
@@ -40,7 +51,7 @@ def test_limit_boundary(name):
 
 
 def test_raised_lifts_only_the_lower_limits():
-    assert LIMITS.raised(100) == Limits(100, 100, 100, 10**6, 100, 1000, 10**6, 2**25)
+    assert LIMITS.raised(100) == Limits(100, 100, 100, 10**6, 100, 1000, 10**6, 2**25, 10**6)
     assert LIMITS.raised(0) == LIMITS
 
 

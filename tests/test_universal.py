@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -27,7 +28,7 @@ from ectarget.universal import (
     min_universal_size,
     verify_homomorphism,
 )
-from helpers import DenseTupleOrder, clique, path, random_coloring, recursion_limit
+from helpers import DenseTupleOrder, clique, grid, path, random_coloring, recursion_limit
 
 
 def closed_form(q, d, k):
@@ -293,6 +294,57 @@ def test_found_homomorphisms_always_verify(source):
     hom = find_homomorphism(source, target)
     if hom is not None:
         assert verify_homomorphism(source, target, hom)
+
+
+@contextlib.contextmanager
+def counting_index_builds():
+    """Yield the list of graphs whose colored adjacency gets built meanwhile."""
+    built = []
+    index = EdgeColoredGraph.by_color
+    build = index.func
+
+    def counted(colored):
+        built.append(colored)
+        return build(colored)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(index, "func", counted)
+        yield built
+
+
+def test_check_universal_indexes_its_target_once():
+    # 2^10 colorings of the 2x4 grid, each searched in the 44-vertex target
+    with counting_index_builds() as built:
+        assert check_universal(build_universal(4, 2, 2), grid(2, 4), 2) is None
+    assert len(built) == 1
+    assert built[0].graph.n == 44
+
+
+def test_searches_into_one_explicit_target_reuse_its_index():
+    target = build_universal(2, 1, 2).to_edge_colored_graph()
+    g = clique(3)
+    with counting_index_builds() as built:
+        find_homomorphism(EdgeColoredGraph(g, 2, {(0, 1): 1, (0, 2): 1, (1, 2): 2}), target)
+        assert built == [target]
+        index = target.by_color
+        for color in (1, 2):
+            find_homomorphism(EdgeColoredGraph(g, 2, {e: color for e in g.edges}), target)
+    assert built == [target]
+    assert target.by_color is index
+
+
+def test_search_oracles_reject_a_palette_mismatch():
+    source = EdgeColoredGraph(path(5), 3, {e: 1 for e in path(5).edges})
+    for target in (build_universal(2, 1, 2), build_universal(2, 1, 2).to_edge_colored_graph()):
+        with pytest.raises(ValueError, match="palette mismatch"):
+            find_homomorphism(source, target)
+        with pytest.raises(ValueError, match="palette mismatch"):
+            check_universal(target, path(5), 3)
+    with pytest.raises(ValueError, match="palette mismatch"):
+        check_universal(build_universal(2, 1, 3), path(5), 2)
+    # refused as input before the 2^29 colorings are weighed against their limit
+    with pytest.raises(ValueError, match="palette mismatch"):
+        check_universal(build_universal(2, 1, 3), path(30), 2)
 
 
 def test_check_universal_path_target_for_single_edge():
