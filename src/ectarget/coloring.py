@@ -46,19 +46,23 @@ def verify_acyclic(graph: Graph, coloring: VertexColoring) -> bool:
 
 
 def verify_star(graph: Graph, coloring: VertexColoring) -> bool:
-    """True iff the coloring is proper and no 4-vertex path uses only 2 colors."""
+    """True iff the coloring is proper and no 4-vertex path uses only 2 colors.
+
+    In a proper coloring, a path a, b, c, d is bicolored exactly when the
+    color of c repeats among the neighbors of b and the color of b repeats
+    among the neighbors of c, so one pass over each vertex's neighbors
+    decides it in O(n + m).
+    """
     if len(coloring) != graph.n or not _is_proper(graph, coloring):
         return False
-    for b, c in graph.sorted_edges:
-        for a in graph.neighbors(b):
-            if a == c or coloring[a] != coloring[c]:
-                continue
-            for d in graph.neighbors(c):
-                if d == b or d == a:
-                    continue
-                if coloring[d] == coloring[b]:
-                    return False
-    return True
+    col = coloring.assign
+    repeats = []
+    for v in range(graph.n):
+        seen, repeated = set(), set()
+        for u in graph.neighbors(v):
+            (repeated if col[u] in seen else seen).add(col[u])
+        repeats.append(repeated)
+    return not any(col[c] in repeats[b] and col[b] in repeats[c] for b, c in graph.edges)
 
 
 def _star_safe(graph: Graph, assign: list, v: int, c: int) -> bool:

@@ -12,7 +12,8 @@ out-coloring is a star coloring (and hence acyclic).
 
 ``build_out_coloring`` combines a star coloring of the underlying graph with
 a greedy coloring of an auxiliary conflict digraph to produce an out-coloring
-within a 2*d*s*s palette budget. ``out_coloring_from_universal`` goes the
+within a 2*d*s*s palette budget, or a direct greedy coloring of the C1-C3
+conflicts when that one is smaller. ``out_coloring_from_universal`` goes the
 other way: given any target graph that is universal for the underlying graph,
 it assembles an out-coloring from homomorphism images and a small conflict
 repair, within a (2d+1)*p^m budget.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 from .bounds import ceil_log
 from .coloring import verify_star
@@ -46,8 +48,10 @@ class TargetNotUniversal(Exception):
 class OutColoringCertificate:
     """A verified out-coloring plus its declared palette budget.
 
-    rule_counts maps each rule that added an auxiliary edge to the number of
-    triples it fired on, in the order the rules first fired.
+    budget and rule_counts describe the construction that proves the budget;
+    the palette may sit far below it. rule_counts maps each rule that added an
+    auxiliary edge to the number of triples it fired on, in the order the
+    rules first fired.
     """
 
     coloring: VertexColoring
@@ -59,20 +63,15 @@ def verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> bo
     """Check conditions C1, C2 and C3 directly."""
     if len(coloring) != oriented.graph.n:
         return False
-    for u, v in oriented.graph.edges:
-        if coloring[u] == coloring[v]:
-            return False
+    col = coloring.assign
+    if any(col[u] == col[v] for u, v in oriented.graph.edges):
+        return False
     for v in range(oriented.graph.n):
         ps = oriented.parents(v)
-        seen = set()
-        for p in ps:
-            if coloring[p] in seen:
-                return False
-            seen.add(coloring[p])
-        for p in ps:
-            for gp in oriented.parents(p):
-                if coloring[gp] == coloring[v]:
-                    return False
+        if len({col[p] for p in ps}) < len(ps):
+            return False
+        if any(col[gp] == col[v] for p in ps for gp in oriented.parents(p)):
+            return False
     return True
 
 
@@ -115,13 +114,13 @@ def _degeneracy_greedy(n: int, adjacency: dict, max_colors: int) -> list:
 
 
 def _flatten(tuples: list) -> VertexColoring:
-    """Map observed color tuples to integers by lexicographic rank (1-based)."""
+    """Map observed colors (tuples or integers) to integers by rank (1-based)."""
     ranks = {t: i + 1 for i, t in enumerate(sorted(set(tuples)))}
     return VertexColoring(len(ranks), [ranks[t] for t in tuples])
 
 
 def _certify(oriented: OrientedGraph, tuples: list, budget: int, rule_counts: dict) -> OutColoringCertificate:
-    """Flatten per-vertex color tuples and verify the result before returning it."""
+    """Flatten per-vertex colors and verify the result before returning it."""
     coloring = _flatten(tuples)
     if coloring.palette > budget:
         raise AssertionError("out-coloring palette exceeded its budget")
@@ -144,31 +143,46 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColo
     such triples per head, so a greedy coloring of the auxiliary graph in
     degeneracy order needs at most 2*d*s colors. Pairing it with the star
     coloring yields an out-coloring within the 2*d*s*s budget.
+
+    The same greedy also colors the C1-C3 conflict graph directly, and that
+    coloring is emitted when it uses fewer colors than there are distinct
+    (star, auxiliary) pairs. The budget and rule counts describe the
+    two-stage construction either way, and the palette never exceeds that budget.
     """
     graph = oriented.graph
     if not verify_star(graph, star):
         raise ValueError("star coloring failed verification")
     d = oriented.max_in_degree
-    s = star.palette
+    s, col = star.palette, star.assign
     if d == 0:
         return _certify(oriented, [()] * graph.n, 1, {})
     rule_counts = {}
     in_degrees = [0] * graph.n
     adjacency = {v: set() for v in range(graph.n)}
+    conflicts = {v: set() for v in range(graph.n)}
     for x in range(graph.n):
         ps = oriented.parents(x)
         for rule, heads in (("R1", ps), ("R2", oriented.children(x))):
             for b in ps:
                 for a in heads:
-                    if a != b and star[a] == star[b]:
+                    if a != b and col[a] == col[b]:
                         rule_counts[rule] = rule_counts.get(rule, 0) + 1
                         in_degrees[a] += 1
                         adjacency[b].add(a)
                         adjacency[a].add(b)
+        # the pairs C1, C2 and C3 keep apart: x and its parents, two parents, x and a grandparent
+        pairs = [(x, p) for p in ps] + list(combinations(ps, 2))
+        pairs += [(x, g) for p in ps for g in oriented.parents(p)]
+        for u, v in pairs:
+            conflicts[u].add(v)
+            conflicts[v].add(u)
     if max(in_degrees) > d * (s - 1):
         raise AssertionError("auxiliary digraph in-degree bound violated")
     aux_colors = _degeneracy_greedy(graph.n, adjacency, 2 * d * s)
-    tuples = [(star[v], aux_colors[v]) for v in range(graph.n)]
+    tuples = list(zip(col, aux_colors))
+    direct = _degeneracy_greedy(graph.n, conflicts, graph.n)
+    if max(direct) < len(set(tuples)):
+        tuples = direct
     return _certify(oriented, tuples, 2 * d * s * s, rule_counts)
 
 

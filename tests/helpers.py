@@ -6,7 +6,7 @@ existence by pruned exhaustive assignment, star validity by the
 every-bicolored-component-is-a-star characterization, out-colorings as
 in-colorings of the transpose, tuple-target ids by a walk over every
 coordinate and letter, smallest-last order by a scan of every remaining
-vertex.
+vertex, star colorings by enumerating 4-vertex paths.
 """
 
 from __future__ import annotations
@@ -168,23 +168,40 @@ def orientation_exists_bruteforce(graph: Graph, d: int) -> bool:
     return rec(0, len(edges))
 
 
-def aux_triples(oriented: OrientedGraph, star: VertexColoring) -> tuple[dict, dict]:
-    """Counts of R1 and R2 triples (b, x, a), and of triples per head a, from
-    every ordered pair of arcs: R1 when b -> x and a -> x with a != b, R2 when
-    b -> x -> a, in both cases with star[a] == star[b]."""
+def each_aux_triple(oriented: OrientedGraph, star: VertexColoring):
+    """Every R1 and R2 triple (b, x, a) as (rule, b, a), from every ordered
+    pair of arcs: R1 when b -> x and a -> x with a != b, R2 when b -> x -> a,
+    in both cases with star[a] == star[b]."""
     arcs = list(oriented.direction.values())
-    rules, heads = {}, {}
     for b, x in arcs:
         for tail, head in arcs:
             if head == x and tail != b and star[tail] == star[b]:
-                rule, a = "R1", tail
+                yield "R1", b, tail
             elif tail == x and star[head] == star[b]:
-                rule, a = "R2", head
-            else:
-                continue
-            rules[rule] = rules.get(rule, 0) + 1
-            heads[a] = heads.get(a, 0) + 1
+                yield "R2", b, head
+
+
+def aux_triples(oriented: OrientedGraph, star: VertexColoring) -> tuple[dict, dict]:
+    """Counts of R1 and R2 triples (b, x, a), and of triples per head a."""
+    rules, heads = {}, {}
+    for rule, _, a in each_aux_triple(oriented, star):
+        rules[rule] = rules.get(rule, 0) + 1
+        heads[a] = heads.get(a, 0) + 1
     return rules, heads
+
+
+def two_stage_palette(oriented: OrientedGraph, star: VertexColoring) -> int:
+    """Palette of the paper's two-stage out-coloring: the star color paired
+    with a smallest-last greedy color of the R1/R2 auxiliary graph."""
+    d, n = oriented.max_in_degree, oriented.graph.n
+    if d == 0:
+        return 1
+    adjacency = {}
+    for _, b, a in each_aux_triple(oriented, star):
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    aux = scan_degeneracy_greedy(n, adjacency, 2 * d * star.palette)
+    return len({(star[v], aux[v]) for v in range(n)})
 
 
 def transpose(oriented: OrientedGraph) -> OrientedGraph:
@@ -287,6 +304,27 @@ class DenseTupleOrder:
                     break
                 rem -= cnt
         return tuple(out)
+
+
+def paths_verify_star(graph: Graph, coloring: VertexColoring) -> bool:
+    """Star-coloring check by enumerating, for each middle edge (b, c), every
+    path a, b, c, d with col(a) == col(c): proper, and none has col(d) ==
+    col(b). The O(sum of deg(b)·deg(c)) reference for the library's
+    O(n + m) verify_star."""
+    if len(coloring) != graph.n:
+        return False
+    if any(coloring[u] == coloring[v] for u, v in graph.edges):
+        return False
+    for b, c in graph.sorted_edges:
+        for a in graph.neighbors(b):
+            if a == c or coloring[a] != coloring[c]:
+                continue
+            for d in graph.neighbors(c):
+                if d == b or d == a:
+                    continue
+                if coloring[d] == coloring[b]:
+                    return False
+    return True
 
 
 def star_ok_by_components(graph: Graph, coloring: VertexColoring) -> bool:

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import time
 
@@ -11,9 +12,10 @@ from ectarget.graphs import (
     parse_edge_colored,
     parse_homomorphism,
     parse_oriented,
+    serialize,
     serialize_graph,
 )
-from helpers import grid, path, recursion_limit
+from helpers import grid, path, random_coloring, recursion_limit, stacked_triangulation
 
 K4 = "4 6 1\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1\n2 3 1\n"
 C5 = "5 5 1\n0 1 1\n1 2 1\n2 3 1\n3 4 1\n0 4 1\n"
@@ -135,6 +137,19 @@ def test_map_pipeline_and_verify_round_trip(tmp_path, capsys):
     code, verdict = run_json(capsys, "verify", str(src), str(target_file), str(hom_file))
     assert code == 0
     assert verdict == {"verified": True}
+
+
+def test_map_fits_a_twelve_color_header(tmp_path, capsys):
+    # the two-stage out-coloring of this source needs 15 colors
+    source = random_coloring(stacked_triangulation(40, seed=3), 3, random.Random(11))
+    src = tmp_path / "src.g"
+    src.write_text(serialize(source))
+    target_file = tmp_path / "mid_q.json"
+    target_file.write_text(json.dumps({"q": 12, "d": 3, "k": 3}))
+    code, payload = run_json(capsys, "map", str(src), "--target", str(target_file))
+    assert code == 0
+    assert payload["verified"] is True
+    assert payload["out_palette"] <= 12
 
 
 def test_map_is_byte_deterministic(tmp_path, capsys):

@@ -1,3 +1,7 @@
+import time
+from itertools import combinations
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -9,7 +13,7 @@ from ectarget.coloring import (
     verify_star,
 )
 from ectarget.graphs import Graph, GuardExceeded, VertexColoring
-from helpers import clique, cycle, path, stacked_triangulation, star_ok_by_components
+from helpers import clique, cycle, path, paths_verify_star, stacked_triangulation, star_ok_by_components
 
 
 def test_verify_acyclic_rejects_bicolored_cycle():
@@ -103,3 +107,34 @@ def test_star_colorings_are_acyclic(g):
 def test_star_verifier_agrees_with_component_characterization(pair):
     g, col = pair
     assert verify_star(g, col) == star_ok_by_components(g, col)
+
+
+@st.composite
+def mostly_proper_colorings(draw):
+    """A coloring from up to 5 colors and a graph on up to 9 vertices with
+    up to 2n edges. Half the draws take edges only between differently
+    colored vertices, so that proper colorings that are and are not star
+    colorings both come up often; the other half take any edges."""
+    n = draw(st.integers(1, 9))
+    palette = draw(st.integers(1, 5))
+    assign = [draw(st.integers(1, palette)) for _ in range(n)]
+    proper = draw(st.booleans())
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if not proper or assign[u] != assign[v]]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else ()
+    return Graph(n, edges), VertexColoring(palette, assign)
+
+
+@given(mostly_proper_colorings())
+@settings(max_examples=400)
+def test_star_verifier_agrees_with_path_enumeration(pair):
+    g, col = pair
+    assert verify_star(g, col) == paths_verify_star(g, col)
+
+
+def test_star_verifier_is_linear_on_a_twenty_thousand_leaf_star():
+    leaves = 20000
+    g = Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+    col = VertexColoring(2, [1] + [2] * leaves)
+    start = time.perf_counter()
+    assert verify_star(g, col)
+    assert time.perf_counter() - start < 1.0

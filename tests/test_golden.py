@@ -33,6 +33,7 @@ def write_inputs(root):
         "fits.json": json.dumps({"q": 60, "d": 3, "k": 3}),
         "low_d.json": json.dumps({"q": 60, "d": 2, "k": 3}),
         "low_q.json": json.dumps({"q": 4, "d": 3, "k": 3}),
+        "mid_q.json": json.dumps({"q": 12, "d": 3, "k": 3}),
         "class.json": json.dumps({"q": 15000, "d": 3, "k": 3}),
         "large.g": serialize(random_coloring(stacked_triangulation(1500, seed=4), 3, random.Random(12))),
         "large.json": json.dumps({"q": 64, "d": 3, "k": 3}),
@@ -61,6 +62,7 @@ CASES = [
     ("map-target-text", "map {}/src.g --target {}/fits.json --format text --output {}/target.hom", "target.hom"),
     ("map-target-low-d", "map {}/src.g --target {}/low_d.json", None),
     ("map-target-low-q", "map {}/src.g --target {}/low_q.json --format text", None),
+    ("map-target-mid-q", "map {}/src.g --target {}/mid_q.json --output {}/mid.hom", "mid.hom"),
     ("map-class-target", "map {}/src.g --target {}/class.json --output {}/class.hom", "class.hom"),
     ("verify-class-target", "verify {}/src.g {}/class.json {}/class.hom", None),
     ("map-large-target", "map {}/large.g --target {}/large.json --output {}/large.hom", "large.hom"),
@@ -103,13 +105,13 @@ GOLDEN = {
     ],
     "out-color-tri-text": [
         0,
-        "045f400be1bdbb6f45d8ed95c65fdcf55fc533698c4532c7897001f7fc551c69",
-        "fa2fc74ef638975198a8416619c7b0cd4863a71adfd739bd33b94d7f854e62d3",
+        "bb738c821d9d1eddbd2890179f41cdf2bbba93023e8bf539a8d84139d3f78017",
+        "bc01e965366c2401525a4c0c5e19b46e3c5a19f86a625c150ca1aa4a98966ff0",
     ],
     "out-color-grid": [
         0,
-        "e37c4e44ad7f86b51559ab8a29bbed4abc1f1d20446416525367c1439e99881b",
-        "4be7b2da9307bfabaefaaee9ecd44f863a5d908f86007864aab80d8a7b6c1f2a",
+        "1215c38ac571a6c9c3b39263215882f1dfb3e9a21d6beed71de895f0e79f5647",
+        "927b37de5a8f97dd9fba6ac8d10f34695c8cdf4a4ced59e154df27b506bb6915",
     ],
     "out-color-edgeless": [
         0,
@@ -118,13 +120,13 @@ GOLDEN = {
     ],
     "map-fitted": [
         0,
-        "4d353b2d280fef9c43a5a0da2ac35d738d901c28af408f6015cc096054f774fe",
-        "2aaa87898c4af2063b7fafe5b25e1e0765a67b5689b606b3edab704df80806a8",
+        "426791cb275209624c7fcabde1d6fdb5f4eaa099e86504898e5737eb86cedc20",
+        "23e53b0a7cc594432c76e1281fe29c2e199a069cadb722167dc26d190d0b394f",
     ],
     "map-target-text": [
         0,
-        "32a7c0a5c55e35b0bdc7840a4b2f29e6a935900b3a132b4ebc21eaa8d2c66c9d",
-        "648dc37372ba97d648108b9fb1ae8357e8ea5f2a0ce7085a4536e1156380dcc8",
+        "6978d926c30915641cbefdc097318b27a9f33215d000446c175a5b2ff007511a",
+        "b13bdb1233a74af0ecc9b3d558d58d8ca9396084212ddb6a71cb539794846ad1",
     ],
     "map-target-low-d": [
         1,
@@ -133,13 +135,18 @@ GOLDEN = {
     ],
     "map-target-low-q": [
         1,
-        "6b534749f1630169941df551c3ce04d94fed8dc3d08cf01fe0501ccc652bb964",
+        "a837b85aa1a8c10714e59691214cd7dc8564710d2104c9d40b4433e0009e9642",
         None,
+    ],
+    "map-target-mid-q": [
+        0,
+        "a2b764b6c333d9973527533ba45bc6690f2219f11248e07f6e16072d8f41d7c4",
+        "3eb7b816452811014dd8ab6b4e85c1de3f110204e283ff84618f95c820a76c77",
     ],
     "map-class-target": [
         0,
-        "bbbba8b174cb2d561a93a16a61722a4b8bc9fab50fa30c87b483bd361b7f7ee3",
-        "48c53415c39fe25992607658a36cd98563246a6c3109d7ff5c5831c50e04d3c6",
+        "1d519c2e9a02e0de111b40578e76b0f1a4f483b2d0435148778db675871dff06",
+        "cb84680a47ade2e5014637b7f5d926c4dacc1790ac3f42df23bd346476eef24d",
     ],
     "verify-class-target": [
         0,
@@ -148,8 +155,8 @@ GOLDEN = {
     ],
     "map-large-target": [
         0,
-        "ef4421c0711173e47eeadb9058e0585bc0b7dad343b9c9f84547e071a2f8fd99",
-        "32dd2dd40e3521fcf47d929f274a2ef134856be6c415af5a0a8109a902572dc1",
+        "8a589980c337eaa3d1fabd783d6c16342c77c38e995916ccb8dd3639f581f7f9",
+        "6e804f867ed1371679374f55720691f06a9b88212ce66557c8ef41cd8c6f0d1a",
     ],
     "star-color-tri": [
         0,

@@ -19,12 +19,14 @@ from ectarget.out_coloring import (
 )
 from ectarget.universal import build_universal, min_universal_size
 from helpers import (
+    acceptance_corpus,
     aux_triples,
     clique,
     path,
     scan_degeneracy_greedy,
     stacked_triangulation,
     transpose,
+    two_stage_palette,
     verify_in_coloring,
 )
 
@@ -136,6 +138,34 @@ def test_rule_counts_match_the_rule_definitions(og):
     rules, _ = aux_triples(og, star)
     assert cert.rule_counts == rules
     assert verify_out_coloring(og, cert.coloring)
+
+
+@given(oriented_graphs(max_n=8))
+@settings(max_examples=200)
+def test_emitted_palette_is_at_most_the_two_stage_palette(og):
+    star = greedy_star_coloring(og.graph)
+    cert = build_out_coloring(og, star)
+    assert cert.coloring.palette <= two_stage_palette(og, star) <= cert.budget
+    assert verify_in_coloring(transpose(og), cert.coloring)
+
+
+def test_fitted_palette_never_exceeds_the_two_stage_palette_on_the_corpus():
+    for name, graph in acceptance_corpus():
+        _, og = min_orientation(graph)
+        star = greedy_star_coloring(graph, seed=0)
+        assert build_out_coloring(og, star).coloring.palette <= two_stage_palette(og, star), name
+
+
+@pytest.mark.parametrize("n, seed", [(60, 7), (1500, 4)])
+def test_direct_coloring_fits_triangulations_in_ten_colors(n, seed):
+    # the two-stage construction alone needs 19 and 33 colors here
+    g = stacked_triangulation(n, seed)
+    _, og = min_orientation(g)
+    star = greedy_star_coloring(g, seed=0)
+    cert = build_out_coloring(og, star)
+    assert cert.coloring.palette == 10
+    assert two_stage_palette(og, star) == {60: 19, 1500: 33}[n]
+    assert cert.budget == 2 * og.max_in_degree * star.palette**2
 
 
 @st.composite
