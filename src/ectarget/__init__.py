@@ -65,7 +65,6 @@ from .universal import (
     build_homomorphism,
     build_universal,
     check_universal,
-    edge_color,
     find_homomorphism,
     min_universal_size,
     verify_homomorphism,
@@ -97,7 +96,6 @@ __all__ = [
     "check_universal",
     "clique_genus",
     "densest_subgraph",
-    "edge_color",
     "exact_star_coloring",
     "find_homomorphism",
     "find_orientation",

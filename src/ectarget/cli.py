@@ -220,6 +220,8 @@ def _cmd_map(args) -> int:
         q, d, tk = header
         if tk != k:
             raise ValueError(f"target palette k={tk} does not match source k={k}")
+        # a header the target refuses fails here, before any work on the source
+        target = build_universal(q, d, k, _limits())
         try:
             oriented = find_orientation(graph, d)
         except OrientationInfeasible as exc:
@@ -231,11 +233,10 @@ def _cmd_map(args) -> int:
     certificate = build_out_coloring(oriented, star)
     palette = certificate.coloring.palette
     if not args.target:
-        q, d = palette, oriented.max_in_degree
+        target = build_universal(palette, oriented.max_in_degree, k, _limits())
     elif palette > q:
         _emit(args, {"verified": False, "reason": f"out-coloring needs {palette} colors, target allows q={q}"})
         return 1
-    target = build_universal(q, d, k, _limits())
     hom = build_homomorphism(source, oriented, certificate.coloring, target)
     if not verify_homomorphism(source, target, hom):
         raise AssertionError("refusing to print an unverified homomorphism")

@@ -7,12 +7,13 @@ between two distinct tuples u and v is min(v[u[0]], u[v[0]]): each endpoint's
 leading coordinate selects one coordinate of the other.
 
 Vertex ids follow the lexicographic order of the tuples. Inside this module a
-vertex is kept in sparse form: its lead and the at most d (position, value)
-pairs where it differs from k. One table of suffix counts, stored by budget,
-ranks that form in O(d) and unranks an id in O(d log q), so homomorphism
-images and edge colors never walk all q coordinates. The dense rank and
-unrank of full tuples are thin wrappers; explicit enumeration is a separate,
-lazy and guarded odometer.
+vertex is kept in sparse form only: its lead and the at most d (position,
+value) pairs where it differs from k. One table of suffix counts, stored by
+budget, ranks that form in O(d) and unranks an id in O(d log q), and one
+color rule applies to two sparse vertices, so homomorphism images and edge
+colors never walk all q coordinates. Listing the vertices and writing the
+target out as an explicit graph both go through that unrank and that rule;
+dense tuples appear only in rank, unrank and the vertex listing.
 
 The module also hosts the search oracles: complete backtracking homomorphism
 search, exhaustive universality checking over all k-edge-colorings of a
@@ -34,13 +35,6 @@ from .graphs import (
     VertexColoring,
 )
 from .out_coloring import verify_out_coloring
-
-
-def edge_color(u: tuple, v: tuple) -> int:
-    """Color between two distinct target tuples; symmetric in its arguments."""
-    if u == v:
-        raise ValueError("no loops: target tuples must differ")
-    return min(v[u[0]], u[v[0]])
 
 
 class UniversalTarget:
@@ -71,7 +65,6 @@ class UniversalTarget:
         self._cols = cols
         self.block = cols[self.d][q]
         self.vertex_count = q * self.block
-        self._vertices = None
 
     def __repr__(self):
         return f"UniversalTarget(q={self.q}, d={self.d}, k={self.k}, vertices={self.vertex_count})"
@@ -139,46 +132,28 @@ class UniversalTarget:
             xs[p - 1] = x
         return (lead, *xs)
 
-    def _generate(self):
-        """Tuple vertices in lexicographic order, stepping an odometer over the
-        coordinates: the successor raises the last coordinate below k by one
-        and resets the rest to the smallest completion within the budget."""
-        q, d, k = self.q, self.d, self.k
-        for lead in range(1, q + 1):
-            digits = [1] * d + [k] * (q - d)
-            while True:
-                yield (lead, *digits)
-                t = q - 1
-                while t >= 0 and digits[t] == k:
-                    t -= 1
-                if t < 0:
-                    break
-                digits[t] += 1
-                rest = q - t - 1
-                ones = min(d - sum(1 for x in digits[: t + 1] if x != k), rest)
-                digits[t + 1 :] = [1] * ones + [k] * (rest - ones)
+    def _color(self, a: tuple[int, dict], b: tuple[int, dict]) -> int:
+        """Color of the edge between two distinct sparse vertices: each lead
+        selects a coordinate of the other vertex, k where none is stored."""
+        (la, ca), (lb, cb) = a, b
+        return min(cb.get(la, self.k), ca.get(lb, self.k))
 
     @property
     def vertices(self) -> tuple:
-        """All tuple vertices in lexicographic order (materialized lazily)."""
-        if self._vertices is None:
-            self.limits.check("listed_vertices", self.vertex_count, f"listing {self.vertex_count} vertices")
-            self._vertices = tuple(self._generate())
-            if len(self._vertices) != self.vertex_count:
-                raise AssertionError("vertex enumeration disagrees with the closed form")
-        return self._vertices
+        """All tuple vertices in lexicographic order."""
+        self.limits.check("listed_vertices", self.vertex_count, f"listing {self.vertex_count} vertices")
+        return tuple(map(self.unrank, range(self.vertex_count)))
 
     def to_edge_colored_graph(self) -> EdgeColoredGraph:
         """Explicit complete edge-colored graph; only sensible for small targets."""
-        self.limits.check(
-            "explicit_vertices", self.vertex_count, f"explicit target with {self.vertex_count} vertices"
-        )
-        vs = self.vertices
-        p = len(vs)
+        p = self.vertex_count
+        self.limits.check("explicit_vertices", p, f"explicit target with {p} vertices")
+        vs = [self._unrank(i) for i in range(p)]
+        color = self._color
         edges = {}
         for a in range(p):
             for b in range(a + 1, p):
-                edges[(a, b)] = edge_color(vs[a], vs[b])
+                edges[(a, b)] = color(vs[a], vs[b])
         return EdgeColoredGraph(Graph(p, edges.keys()), self.k, edges)
 
 
@@ -238,11 +213,10 @@ def verify_homomorphism(source: EdgeColoredGraph, target, hom: Homomorphism) -> 
     if source.k != target.k:
         raise ValueError(f"edge palette mismatch: source k={source.k}, target k={target.k}")
     if isinstance(target, UniversalTarget):
-        k, ids = target.k, hom.mapping
+        ids, color = hom.mapping, target._color
         sparse = [target._unrank(i) for i in ids]
         for u, v in graph.edges:
-            (lu, cu), (lv, cv) = sparse[u], sparse[v]
-            if ids[u] == ids[v] or min(cv.get(lu, k), cu.get(lv, k)) != source.edge_color(u, v):
+            if ids[u] == ids[v] or color(sparse[u], sparse[v]) != source.edge_color(u, v):
                 return False
         return True
     tgraph = target.graph

@@ -5,8 +5,9 @@ serve as independent ground truth: density by subset enumeration, orientation
 existence by pruned exhaustive assignment, star validity by the
 every-bicolored-component-is-a-star characterization, out-colorings as
 in-colorings of the transpose, tuple-target ids by a walk over every
-coordinate and letter, smallest-last order by a scan of every remaining
-vertex, star colorings by enumerating 4-vertex paths.
+coordinate and letter, tuple-target edge colors on dense tuples,
+smallest-last order by a scan of every remaining vertex, star colorings by
+enumerating 4-vertex paths.
 """
 
 from __future__ import annotations
@@ -260,6 +261,15 @@ def scan_degeneracy_greedy(n: int, adjacency: dict, max_colors: int) -> list:
             raise AssertionError(f"greedy coloring exceeded {max_colors} colors")
         colors[v] = c
     return colors
+
+
+def edge_color(u: tuple, v: tuple) -> int:
+    """Color between two distinct tuple-target vertices as the paper writes
+    it, min(v[u[0]], u[v[0]]) on the dense tuples: the reference for the
+    library's color rule on sparse vertices."""
+    if u == v:
+        raise ValueError("no loops: target tuples must differ")
+    return min(v[u[0]], u[v[0]])
 
 
 class DenseTupleOrder:

@@ -167,6 +167,28 @@ def test_map_rejects_mismatched_k(tmp_path, capsys):
     assert code == 2
 
 
+def test_map_refuses_an_oversized_header_before_orienting(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("map oriented the source before building the target")
+
+    monkeypatch.setattr(cli, "find_orientation", never)
+    src = tmp_path / "tri.ecg"
+    src.write_text(TRIANGLE_ECG)
+    target_file = tmp_path / "huge.json"
+    target_file.write_text(json.dumps({"q": 10**12, "d": 3, "k": 2}))
+    assert cli.main(["map", str(src), "--target", str(target_file)]) == 3
+    assert "count_table_bytes" in capsys.readouterr().err
+
+
+def test_map_rejects_a_header_with_q_zero(tmp_path, capsys):
+    src = tmp_path / "tri.ecg"
+    src.write_text(TRIANGLE_ECG)
+    target_file = tmp_path / "q0.json"
+    target_file.write_text(json.dumps({"q": 0, "d": 3, "k": 2}))
+    code, out = run(capsys, "map", str(src), "--target", str(target_file))
+    assert (code, out) == (2, "")
+
+
 def test_verify_rejects_corrupted_homomorphism(tmp_path, capsys):
     src = tmp_path / "tri.ecg"
     src.write_text(TRIANGLE_ECG)

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import ectarget
 from conftest import edge_colored_graphs
 from ectarget.coloring import greedy_star_coloring
 from ectarget.density import min_orientation
@@ -23,12 +24,11 @@ from ectarget.universal import (
     build_homomorphism,
     build_universal,
     check_universal,
-    edge_color,
     find_homomorphism,
     min_universal_size,
     verify_homomorphism,
 )
-from helpers import DenseTupleOrder, clique, grid, path, random_coloring, recursion_limit
+from helpers import DenseTupleOrder, clique, edge_color, grid, path, random_coloring, recursion_limit
 
 
 def closed_form(q, d, k):
@@ -84,14 +84,31 @@ def test_materialization_guard():
         _ = target.vertices
 
 
+# d = 0 and d = q among them
+SMALL_SHAPES = [(1, 1, 2), (2, 1, 2), (3, 2, 3), (4, 4, 2), (2, 0, 4)]
+SMALL_SHAPES += [(5, 2, 3), (6, 6, 2), (7, 3, 4), (9, 1, 2), (3, 0, 2)]
+
+
 def test_rank_unrank_round_trip_small():
-    shapes = [(1, 1, 2), (2, 1, 2), (3, 2, 3), (4, 4, 2), (2, 0, 4)]
-    shapes += [(5, 2, 3), (6, 6, 2), (7, 3, 4), (9, 1, 2), (3, 0, 2)]
-    for q, d, k in shapes:
-        target = build_universal(q, d, k)
+    for q, d, k in SMALL_SHAPES:
+        target, dense = build_universal(q, d, k), DenseTupleOrder(q, d, k)
+        # the listing order is pinned by the dense walk, not by unrank itself
+        assert target.vertices == tuple(map(dense.unrank, range(target.vertex_count)))
         for idx, vertex in enumerate(target.vertices):
             assert target.rank(vertex) == idx
             assert target.unrank(idx) == vertex
+
+
+def test_explicit_target_colors_match_the_paper_formula():
+    for q, d, k in SMALL_SHAPES:
+        target = build_universal(q, d, k)
+        if target.vertex_count > Limits().explicit_vertices:
+            continue  # (7, 3, 4): 8092 vertices
+        vertices = target.vertices
+        colors = target.to_edge_colored_graph().color
+        assert len(colors) == math.comb(len(vertices), 2)
+        for (a, b), c in colors.items():
+            assert c == edge_color(vertices[a], vertices[b])
 
 
 def test_vertex_listing_is_not_bounded_by_the_recursion_limit():
@@ -126,6 +143,13 @@ def test_rank_rejects_invalid_tuples():
     for bad in [(3, 2, 2), (1, 1, 1), (1, 2), (1, 0, 2)]:
         with pytest.raises(ValueError):
             target.rank(bad)
+
+
+def test_package_exports_are_sorted_unique_and_resolve():
+    names = ectarget.__all__
+    assert names == sorted(set(names))
+    for name in names:
+        assert hasattr(ectarget, name), name
 
 
 def test_edge_color_formula():
