@@ -7,9 +7,13 @@ min cut is a subgraph of strictly larger ratio, the next guess. The maximal
 min cut of the last flow is the witness, the union of all densest sets.
 
 An orientation with in-degree at most d exists exactly when no subgraph has
-more than d edges per vertex. A saturating flow on the edge/vertex network
-assigns every edge its head; when the flow falls short, the source side of a
-min cut is a subgraph certifying infeasibility.
+more than d edges per vertex. It is found on the graph itself, without the
+edge/vertex network: each edge points at the endpoint that smallest-last
+order removes first (Matula-Beck 1983), so no in-degree exceeds the
+degeneracy, and one max-flow on the vertices reverses paths from overloaded
+vertices to ones with spare in-degree (Hakimi 1965). When that flow falls
+short, the vertices it can still reach from the source certify
+infeasibility. ``min_orientation`` takes its bound from the exact density.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import verify_acyclic
-from .graphs import Graph, OrientedGraph, VertexColoring
+from .graphs import Graph, OrientedGraph, VertexColoring, smallest_last_order
 
 _INF = 1 << 62
 
@@ -186,25 +190,47 @@ def densest_subgraph(graph: Graph) -> Density:
 def find_orientation(graph: Graph, d: int) -> OrientedGraph:
     """Orient every edge so that each in-degree is at most d.
 
-    Raises OrientationInfeasible (with a violating vertex set) when some
-    subgraph has more than d edges per vertex.
+    Starts from the smallest-last orientation, whose in-degrees are at most
+    the degeneracy. If some in-degree is still above d, one max-flow on n + 2
+    nodes repairs it: the source feeds each overloaded vertex its excess,
+    each arc a -> b becomes a unit arc b -> a (reversing it moves one unit of
+    in-degree from b to a), and each vertex below d drains its spare to the
+    sink; the arcs that carry flow are reversed. Raises OrientationInfeasible
+    when some subgraph has more than d edges per vertex. Its witness is the
+    least vertex set S maximizing |E(S)| - d * |S|, since a cut around S costs
+    the total excess minus that.
     """
     if d < 0:
         raise ValueError(f"in-degree bound must be nonnegative, got {d}")
-    m, n = graph.m, graph.n
-    if m == 0:
-        return OrientedGraph(graph, {})
-    flow, net = _density_network(graph, Fraction(d))
-    if flow < m:
-        side = net.reach(0)
-        witness = tuple(sorted(v for v in range(n) if (1 + m + v) in side))
-        if _edges_within(graph, set(witness)) <= d * len(witness):
-            raise AssertionError("infeasibility witness mismatch")
-        raise OrientationInfeasible(d, witness)
-    direction = {}
-    for i, (u, v) in enumerate(graph.sorted_edges):
-        # edge node i sends its unit either to u (arc 1) or to v (arc 2)
-        direction[(u, v)] = (v, u) if net.adj[1 + i][1][1] < _INF else (u, v)
+    n, edges = graph.n, graph.sorted_edges
+    rank = [0] * n
+    for i, v in enumerate(smallest_last_order([graph.neighbors(v) for v in range(n)])):
+        rank[v] = i
+    heads = [u if rank[u] < rank[v] else v for u, v in edges]
+    in_degree = [0] * n
+    for head in heads:
+        in_degree[head] += 1
+    if max(in_degree) > d:
+        net, src, sink = _Dinic(n + 2), n, n + 1
+        for v, deg in enumerate(in_degree):
+            if deg > d:
+                net.add_edge(src, v, deg - d)
+            elif deg < d:
+                net.add_edge(v, sink, d - deg)
+        arcs = []
+        for (u, v), head in zip(edges, heads):
+            net.add_edge(head, u + v - head, 1)
+            arcs.append(net.adj[head][-1])
+        if net.max_flow(src, sink) < sum(deg - d for deg in in_degree if deg > d):
+            # the reach is closed under parents once the flow is applied, and
+            # every vertex in it keeps in-degree >= d, one of them more
+            witness = tuple(sorted(net.reach(src) - {src}))
+            if _edges_within(graph, set(witness)) <= d * len(witness):
+                raise AssertionError("infeasibility witness mismatch")
+            raise OrientationInfeasible(d, witness)
+        # a saturated arc head -> tail was reversed: its tail is the new head
+        heads = [arc[0] if arc[1] == 0 else head for arc, head in zip(arcs, heads)]
+    direction = {(u, v): (v, u) if head == u else (u, v) for (u, v), head in zip(edges, heads)}
     return OrientedGraph(graph, direction)
 
 
@@ -212,7 +238,9 @@ def min_orientation(graph: Graph) -> tuple[int, OrientedGraph]:
     """Smallest feasible in-degree bound and an orientation achieving it.
 
     The bound is the ceiling of the exact maximum density (0 for edgeless
-    graphs); the pigeonhole argument shows nothing smaller can work.
+    graphs); the pigeonhole argument shows nothing smaller can work. Only
+    the bound comes from densest_subgraph and its edge/vertex network; the
+    orientation comes from find_orientation, which builds no such network.
     """
     dens = densest_subgraph(graph)
     d = math.ceil(dens.value)

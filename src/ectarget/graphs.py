@@ -14,6 +14,7 @@ from ``u`` to ``v``, ``u v c <`` the other way.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -103,6 +104,34 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
+
+
+def smallest_last_order(adjacency) -> list:
+    """Vertices in smallest-last removal order (Matula-Beck 1983).
+
+    adjacency[v] holds the (deduplicated, undirected) neighbors of vertex v,
+    for every v in 0..len(adjacency)-1. Each step removes the remaining
+    vertex of least (degree, id), so a vertex has at most the degeneracy
+    neighbors removed after it. A lazy heap finds it in O((n + m) log n): a
+    vertex's degree only falls, and each fall pushes a new entry, so an entry
+    is stale exactly when its degree is no longer the vertex's current one.
+    """
+    degree = [len(a) for a in adjacency]
+    heap = [(deg, v) for v, deg in enumerate(degree)]
+    heapq.heapify(heap)
+    removed = [False] * len(degree)
+    removal = []
+    while heap:
+        deg, v = heapq.heappop(heap)
+        if deg != degree[v]:
+            continue
+        removed[v] = True
+        removal.append(v)
+        for u in adjacency[v]:
+            if not removed[u]:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
+    return removal
 
 
 @dataclass(frozen=True)

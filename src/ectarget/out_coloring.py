@@ -21,14 +21,13 @@ repair, within a (2d+1)*p^m budget.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from itertools import combinations
 
 from .bounds import ceil_log
 from .coloring import verify_star
-from .graphs import LIMITS, EdgeColoredGraph, Limits, OrientedGraph, VertexColoring
+from .graphs import LIMITS, EdgeColoredGraph, Limits, OrientedGraph, VertexColoring, smallest_last_order
 
 
 class TargetNotUniversal(Exception):
@@ -78,32 +77,14 @@ def verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> bo
 def _degeneracy_greedy(n: int, adjacency: dict, max_colors: int) -> list:
     """Greedy coloring in reverse smallest-last order (Matula-Beck 1983).
 
-    Each step removes the remaining vertex of least (degree, id). A lazy heap
-    finds it in O((n + m) log n): a vertex's degree only falls, and each fall
-    pushes a new entry, so an entry is stale exactly when its degree is no
-    longer the vertex's current one. adjacency maps a vertex to the set of
-    its (deduplicated, undirected) neighbors. Every vertex keeps at most
-    max_colors - 1 colored neighbors at assignment time, which the caller
-    guarantees via a degree bound.
+    adjacency maps a vertex to the set of its (deduplicated, undirected)
+    neighbors. Every vertex keeps at most max_colors - 1 colored neighbors at
+    assignment time, which the caller guarantees via a degree bound.
     """
-    degree = [len(adjacency.get(v, ())) for v in range(n)]
-    heap = [(deg, v) for v, deg in enumerate(degree)]
-    heapq.heapify(heap)
-    removed = [False] * n
-    removal = []
-    while heap:
-        deg, v = heapq.heappop(heap)
-        if deg != degree[v]:
-            continue
-        removed[v] = True
-        removal.append(v)
-        for u in adjacency.get(v, ()):
-            if not removed[u]:
-                degree[u] -= 1
-                heapq.heappush(heap, (degree[u], u))
+    adjacency = [adjacency.get(v, ()) for v in range(n)]
     colors = [0] * n
-    for v in reversed(removal):
-        used = {colors[u] for u in adjacency.get(v, ()) if colors[u]}
+    for v in reversed(smallest_last_order(adjacency)):
+        used = {colors[u] for u in adjacency[v] if colors[u]}
         c = 1
         while c in used:
             c += 1

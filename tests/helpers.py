@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own algorithms so they can
 serve as independent ground truth: density by subset enumeration, orientation
-existence by pruned exhaustive assignment, star validity by the
+existence by pruned exhaustive assignment, orientations by a flow on the
+edge/vertex network, star validity by the
 every-bicolored-component-is-a-star characterization, out-colorings as
 in-colorings of the transpose, tuple-target ids by a walk over every
 coordinate and letter, tuple-target edge colors on dense tuples,
@@ -18,6 +19,7 @@ import random
 import sys
 from fractions import Fraction
 
+from ectarget.density import _INF, OrientationInfeasible, _density_network
 from ectarget.graphs import EdgeColoredGraph, Graph, OrientedGraph, VertexColoring
 
 
@@ -167,6 +169,26 @@ def orientation_exists_bruteforce(graph: Graph, d: int) -> bool:
         return False
 
     return rec(0, len(edges))
+
+
+def edge_network_orientation(graph: Graph, d: int) -> OrientedGraph:
+    """Orientation with in-degree at most d from one max-flow on the
+    edge/vertex network (n + m + 2 nodes), where each edge node sends its
+    unit to the endpoint that becomes its head: the reference for the
+    library's smallest-last start with a vertex-only repair flow. Raises
+    OrientationInfeasible with the source side of the minimal min cut."""
+    m, n = graph.m, graph.n
+    if m == 0:
+        return OrientedGraph(graph, {})
+    flow, net = _density_network(graph, Fraction(d))
+    if flow < m:
+        side = net.reach(0)
+        raise OrientationInfeasible(d, tuple(sorted(v for v in range(n) if (1 + m + v) in side)))
+    direction = {}
+    for i, (u, v) in enumerate(graph.sorted_edges):
+        # edge node i sends its unit either to u (arc 1) or to v (arc 2)
+        direction[(u, v)] = (v, u) if net.adj[1 + i][1][1] < _INF else (u, v)
+    return OrientedGraph(graph, direction)
 
 
 def each_aux_triple(oriented: OrientedGraph, star: VertexColoring):

@@ -14,12 +14,13 @@ from ectarget.density import (
     min_orientation,
     orientation_from_acyclic,
 )
-from ectarget.graphs import Graph, VertexColoring
+from ectarget.graphs import Graph, VertexColoring, smallest_last_order
 from helpers import (
     brute_density,
     brute_witness,
     clique,
     cycle,
+    edge_network_orientation,
     edges_within,
     grid,
     orientation_exists_bruteforce,
@@ -37,9 +38,19 @@ def is_feasible(graph, d):
         witness = exc.witness
         assert edges_within(graph, witness) > d * len(witness)
         return False
+    assert len(oriented.direction) == graph.m
     assert set(oriented.direction) == set(graph.edges)
     assert oriented.max_in_degree <= d
     return True
+
+
+def infeasibility_witness(orient, graph, d):
+    """The witness orient(graph, d) raises, or None when it orients."""
+    try:
+        orient(graph, d)
+    except OrientationInfeasible as exc:
+        return exc.witness
+    return None
 
 
 def test_density_k4():
@@ -135,6 +146,22 @@ def test_flow_paths_are_not_bounded_by_the_recursion_limit():
     assert oriented.max_in_degree <= 2
 
 
+def test_orientation_repair_paths_are_not_bounded_by_the_recursion_limit():
+    # ids alternate around a 600-cycle, so smallest-last removes 0 first and
+    # 599 last, 300 edges away: 0 starts with in-degree 2, 599 with 0, and
+    # the repair reverses a whole half of the cycle
+    ring = [0] + list(range(1, 600, 2)) + list(range(598, 0, -2))
+    g = Graph(600, [(ring[i - 1], ring[i]) for i in range(600)])
+    order = smallest_last_order([g.neighbors(v) for v in range(g.n)])
+    assert (order[0], order[-1]) == (0, 599)
+    with recursion_limit(120):
+        oriented = find_orientation(g, 1)
+    assert oriented.max_in_degree == 1
+    rank = {v: i for i, v in enumerate(order)}
+    start_heads = {e: min(e, key=rank.get) for e in g.edges}
+    assert sum(head != start_heads[e] for e, (_, head) in oriented.direction.items()) == 300
+
+
 @given(graphs(max_n=8))
 @settings(max_examples=100)
 def test_density_flow_count_at_most_n_plus_one(g):
@@ -176,6 +203,63 @@ def test_orientation_feasibility_matches_density_threshold(g):
     need = math.ceil(densest_subgraph(g).value)
     for d in range(0, 4):
         assert is_feasible(g, d) == (need <= d)
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=100)
+def test_orientation_agrees_with_the_edge_network_reference(g):
+    # is_feasible checks each edge is oriented once, the bound and the witness
+    # size; both flows' witnesses are the least S maximizing |E(S)| - d * |S|
+    for d in range(max(map(g.degree, range(g.n))) + 1):
+        expected = infeasibility_witness(edge_network_orientation, g, d)
+        assert is_feasible(g, d) == (expected is None) == orientation_exists_bruteforce(g, d)
+        assert infeasibility_witness(find_orientation, g, d) == expected
+
+
+def networks_built(graph, d):
+    """find_orientation(graph, d), or the OrientationInfeasible it raised,
+    and the node count of every _Dinic network it built."""
+    sizes = []
+    init = _Dinic.__init__
+
+    def counted(net, n):
+        sizes.append(n)
+        init(net, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Dinic, "__init__", counted)
+        try:
+            result = find_orientation(graph, d)
+        except OrientationInfeasible as exc:
+            result = exc
+    return result, sizes
+
+
+def test_orientation_builds_no_network_when_the_smallest_last_start_fits(monkeypatch):
+    def no_flow(n):
+        raise AssertionError("the smallest-last start needs no repair here")
+
+    monkeypatch.setattr("ectarget.density._Dinic", no_flow)
+    assert find_orientation(stacked_triangulation(1500, 4), 3).max_in_degree <= 3
+
+
+@pytest.mark.parametrize("t", [3, 8, 13])
+def test_orientation_repairs_a_clique_with_one_vertex_network(t):
+    d = t // 2  # ceil((t - 1) / 2)
+    oriented, sizes = networks_built(clique(t), d)
+    assert oriented.max_in_degree <= d
+    assert sizes == [t + 2]
+    exc, sizes = networks_built(clique(t), d - 1)
+    assert isinstance(exc, OrientationInfeasible)
+    assert exc.witness == tuple(range(t))
+    assert sizes == [t + 2]
+
+
+def test_orientation_repairs_a_planted_clique_with_one_vertex_network():
+    g = Graph(260, set(stacked_triangulation(260, 1).edges) | set(clique(20).edges))
+    oriented, sizes = networks_built(g, 10)
+    assert oriented.max_in_degree <= 10
+    assert sizes == [262]
 
 
 def test_orientation_matches_exhaustive_search():

@@ -90,8 +90,8 @@ GOLDEN = {
     ],
     "orient-tri": [
         0,
-        "12ea20ebbb749763b153668fff751eaa7474137b31e85327aa5fd0e7c5e8be74",
-        "7e43dafdba540aeb0d2f63beafaca7bafa93c46c3d827822f9bed3624c77d3f7",
+        "031e3db59d91df6f63c133b2061b96f449eec79f9a757e24c230095e6e34079d",
+        "157638f73e6857441954a9c271451438e14a0c2af7cf5c472c4729baf0bad5af",
     ],
     "orient-k6-infeasible": [
         1,
@@ -105,8 +105,8 @@ GOLDEN = {
     ],
     "out-color-tri-text": [
         0,
-        "bb738c821d9d1eddbd2890179f41cdf2bbba93023e8bf539a8d84139d3f78017",
-        "bc01e965366c2401525a4c0c5e19b46e3c5a19f86a625c150ca1aa4a98966ff0",
+        "72acd28360c955bfdafd7e25cd919c8882d9f8407f45af07c07731c98a85c35f",
+        "7962b7c15677f60890c96b69fc90a93317115d328fee999decf1393beabc4846",
     ],
     "out-color-grid": [
         0,
@@ -120,13 +120,13 @@ GOLDEN = {
     ],
     "map-fitted": [
         0,
-        "426791cb275209624c7fcabde1d6fdb5f4eaa099e86504898e5737eb86cedc20",
-        "23e53b0a7cc594432c76e1281fe29c2e199a069cadb722167dc26d190d0b394f",
+        "32afa6fda974c2378d9e31cc3c9c22e0c0a187fa2f3410eb3e6741cf783a2f68",
+        "2474e7e36009e31839a9768ec49f10a112f7f511ecc973a73d387fe6a4160459",
     ],
     "map-target-text": [
         0,
-        "6978d926c30915641cbefdc097318b27a9f33215d000446c175a5b2ff007511a",
-        "b13bdb1233a74af0ecc9b3d558d58d8ca9396084212ddb6a71cb539794846ad1",
+        "a3e151012dfec7485fd6caecb28df146001732238a5c886165a9a4ab0248b2e5",
+        "aedb5f6685727007b9afc61a01a91cf05b00948e871714540805bb9e6239c262",
     ],
     "map-target-low-d": [
         1,
@@ -135,18 +135,18 @@ GOLDEN = {
     ],
     "map-target-low-q": [
         1,
-        "a837b85aa1a8c10714e59691214cd7dc8564710d2104c9d40b4433e0009e9642",
+        "094d79117bb1af716e66d75914904d22bd30986c3ff3a6b58a9e84ae4be84b21",
         None,
     ],
     "map-target-mid-q": [
         0,
-        "a2b764b6c333d9973527533ba45bc6690f2219f11248e07f6e16072d8f41d7c4",
-        "3eb7b816452811014dd8ab6b4e85c1de3f110204e283ff84618f95c820a76c77",
+        "453d26fdc2482215ff9b1522987d0ef6394891b38fce05cec1020e78701fbabf",
+        "ff900b5138854d6d5a476675a67bef568a31e00bfc32562549d7ae624f7f7f48",
     ],
     "map-class-target": [
         0,
-        "1d519c2e9a02e0de111b40578e76b0f1a4f483b2d0435148778db675871dff06",
-        "cb84680a47ade2e5014637b7f5d926c4dacc1790ac3f42df23bd346476eef24d",
+        "8330768e6fbbe17d7813a0ac42f0c54280262db4ff0cfddd26c4565cb43f4d4c",
+        "8761c93874260c339c75715a28ad39c75f234b56c53e47ed75e39ae65cea1e96",
     ],
     "verify-class-target": [
         0,
@@ -155,8 +155,8 @@ GOLDEN = {
     ],
     "map-large-target": [
         0,
-        "8a589980c337eaa3d1fabd783d6c16342c77c38e995916ccb8dd3639f581f7f9",
-        "6e804f867ed1371679374f55720691f06a9b88212ce66557c8ef41cd8c6f0d1a",
+        "be015e5568eeea9f97214b625fbcc13c27f098892c4ccc7df9377c9f7b7ac313",
+        "8c1e9ef1a37ba853c28ca41fe497ea75c874efa55454dec55862e6f50c2196b0",
     ],
     "star-color-tri": [
         0,
