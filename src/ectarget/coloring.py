@@ -3,7 +3,9 @@
 A proper coloring is acyclic when every two color classes induce a forest,
 and a star coloring when no path on four vertices is bicolored. The exact
 star search is a guarded backtracker meant for small instances; the greedy
-heuristic is total and its output always verifies.
+heuristic is total and its output always verifies. The greedy reads each
+vertex's forbidden colors (F1-F3) from neighbor-color counts it keeps up to
+date, in O(m * palette), where the exact search walks three steps out.
 """
 
 from __future__ import annotations
@@ -138,18 +140,51 @@ def greedy_star_coloring(graph: Graph, seed: int = 0) -> VertexColoring:
     """Star coloring by greedy assignment over a degree-descending order.
 
     The seed shuffles tie order among equal degrees; for a fixed seed the
-    result is deterministic. Each vertex takes the smallest color that keeps
-    the partial coloring proper and free of bicolored 4-vertex paths, so the
-    final coloring always verifies.
+    result is deterministic. Each vertex v takes the smallest color that
+    keeps the partial coloring proper and free of bicolored 4-vertex paths,
+    so the final coloring always verifies. With cnt[y] counting the colors
+    on y's colored neighbors, and far[x] the colors of x's colored neighbors
+    y with cnt[y][col(x)] >= 2, the colors v may not take are
+      F1  the keys of cnt[v] (paths v, x);
+      F2  far[x] for each colored x in N(v) (paths v, x, y, z);
+      F3  the keys of cnt[w] for each colored w in N(v) whose color repeats
+          in N(v) (paths x, v, w, z, where z = x only repeats F1).
+    Both tables only grow, and far[x] gains a color when x or y is colored
+    or when cnt[y][col(x)] reaches 2, which scans N(y) once per (y, color)
+    pair, so the run costs O(m * palette).
     """
     rng = random.Random(seed)
     order = list(range(graph.n))
     rng.shuffle(order)
     order.sort(key=lambda v: -graph.degree(v))
+    adj = [graph.neighbors(v) for v in range(graph.n)]
     assign = [0] * graph.n
+    cnt = [{} for _ in range(graph.n)]
+    far = [set() for _ in range(graph.n)]
     for v in order:
+        around = cnt[v]
+        forbidden = set(around)
+        for w in adj[v]:
+            cw = assign[w]
+            if cw:
+                forbidden |= far[w]
+                if around[cw] >= 2:
+                    forbidden.update(cnt[w])
         c = 1
-        while not _star_safe(graph, assign, v, c):
+        while c in forbidden:
             c += 1
         assign[v] = c
+        for y in adj[v]:
+            seen = cnt[y]
+            seen[c] = times = seen.get(c, 0) + 1
+            cy = assign[y]
+            if not cy:
+                continue
+            if times >= 2:
+                far[v].add(cy)
+            if times == 2:
+                # the one other neighbor of y colored c gains col(y) too
+                far[next(x for x in adj[y] if x != v and assign[x] == c)].add(cy)
+            if around[cy] >= 2:
+                far[y].add(c)
     return VertexColoring(max(assign), assign)

@@ -194,21 +194,21 @@ class OrientedGraph:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "direction", {e: canon[e] for e in sorted(canon)})
 
+    # direction is in sorted edge order, so each vertex meets its lower
+    # neighbors first and every list below fills in ascending id order
     @cached_property
     def _parents(self):
         parents = [[] for _ in range(self.graph.n)]
-        for e in sorted(self.direction):
-            tail, head = self.direction[e]
+        for tail, head in self.direction.values():
             parents[head].append(tail)
-        return tuple(tuple(sorted(p)) for p in parents)
+        return tuple(map(tuple, parents))
 
     @cached_property
     def _children(self):
         children = [[] for _ in range(self.graph.n)]
-        for e in sorted(self.direction):
-            tail, head = self.direction[e]
+        for tail, head in self.direction.values():
             children[tail].append(head)
-        return tuple(tuple(sorted(c)) for c in children)
+        return tuple(map(tuple, children))
 
     def parents(self, v: int) -> tuple[int, ...]:
         """Tails of the edges directed into v, in ascending id order."""

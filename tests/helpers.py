@@ -8,7 +8,8 @@ every-bicolored-component-is-a-star characterization, out-colorings as
 in-colorings of the transpose, tuple-target ids by a walk over every
 coordinate and letter, tuple-target edge colors on dense tuples,
 smallest-last order by a scan of every remaining vertex, star colorings by
-enumerating 4-vertex paths.
+enumerating 4-vertex paths, the greedy star coloring by walking three steps
+out from each vertex for every candidate color.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import random
 import sys
 from fractions import Fraction
 
+from ectarget.coloring import _star_safe
 from ectarget.density import _INF, OrientationInfeasible, _density_network
 from ectarget.graphs import EdgeColoredGraph, Graph, OrientedGraph, VertexColoring
 
@@ -283,6 +285,24 @@ def scan_degeneracy_greedy(n: int, adjacency: dict, max_colors: int) -> list:
             raise AssertionError(f"greedy coloring exceeded {max_colors} colors")
         colors[v] = c
     return colors
+
+
+def three_step_star_greedy(graph: Graph, seed: int = 0) -> VertexColoring:
+    """Greedy star coloring that tests each candidate color with _star_safe,
+    a walk three steps out from the vertex: the O(palette · deg³) reference
+    for the library's greedy_star_coloring, with the same seeded
+    degree-descending order and the same smallest-safe-color rule."""
+    rng = random.Random(seed)
+    order = list(range(graph.n))
+    rng.shuffle(order)
+    order.sort(key=lambda v: -graph.degree(v))
+    assign = [0] * graph.n
+    for v in order:
+        c = 1
+        while not _star_safe(graph, assign, v, c):
+            c += 1
+        assign[v] = c
+    return VertexColoring(max(assign), assign)
 
 
 def edge_color(u: tuple, v: tuple) -> int:

@@ -13,7 +13,15 @@ from ectarget.coloring import (
     verify_star,
 )
 from ectarget.graphs import Graph, GuardExceeded, VertexColoring
-from helpers import clique, cycle, path, paths_verify_star, stacked_triangulation, star_ok_by_components
+from helpers import (
+    clique,
+    cycle,
+    path,
+    paths_verify_star,
+    stacked_triangulation,
+    star_ok_by_components,
+    three_step_star_greedy,
+)
 
 
 def test_verify_acyclic_rejects_bicolored_cycle():
@@ -91,6 +99,33 @@ def test_greedy_star_deterministic_per_seed():
 @settings(max_examples=150)
 def test_greedy_star_always_verifies(g):
     col = greedy_star_coloring(g, seed=0)
+    assert verify_star(g, col)
+
+
+@given(graphs(max_n=10), st.integers(0, 50))
+@settings(max_examples=200)
+def test_greedy_star_matches_three_step_reference(g, seed):
+    assert greedy_star_coloring(g, seed) == three_step_star_greedy(g, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_greedy_star_matches_reference_on_1500_vertex_triangulation(seed):
+    g = stacked_triangulation(1500, seed)
+    assert greedy_star_coloring(g, seed) == three_step_star_greedy(g, seed)
+
+
+@pytest.mark.parametrize(
+    "hubs, leaves, palette",
+    [(1, 20000, 2), (2, 2000, 2001)],
+    ids=["K1,20000", "K2,2000"],
+)
+def test_greedy_star_is_fast_on_hubs(hubs, leaves, palette):
+    # on K2,n both hubs take color 1, so every leaf meets the F3 rule
+    g = Graph(hubs + leaves, [(h, v) for h in range(hubs) for v in range(hubs, hubs + leaves)])
+    start = time.perf_counter()
+    col = greedy_star_coloring(g)
+    assert time.perf_counter() - start < 3.0
+    assert col.palette == palette
     assert verify_star(g, col)
 
 

@@ -160,6 +160,14 @@ def test_oriented_round_trip(og):
     assert parse_oriented(serialize_oriented(og)) == og
 
 
+@given(oriented_graphs())
+def test_parents_and_children_ascend_whatever_the_input_order(og):
+    backwards = OrientedGraph(og.graph, {(v, u): arc for (u, v), arc in reversed(og.direction.items())})
+    for v in range(og.graph.n):
+        assert backwards.parents(v) == tuple(sorted(t for t, h in og.direction.values() if h == v))
+        assert backwards.children(v) == tuple(sorted(h for t, h in og.direction.values() if t == v))
+
+
 def test_oriented_parse_direction_flags():
     og = parse_oriented("3 2 1\n0 1 1 >\n1 2 1 <")
     assert og.direction == {(0, 1): (0, 1), (1, 2): (2, 1)}
