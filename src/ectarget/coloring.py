@@ -4,8 +4,8 @@ A proper coloring is acyclic when every two color classes induce a forest,
 and a star coloring when no path on four vertices is bicolored. The exact
 star search is a guarded backtracker meant for small instances; the greedy
 heuristic is total and its output always verifies. The greedy reads each
-vertex's forbidden colors (F1-F3) from neighbor-color counts it keeps up to
-date, in O(m * palette), where the exact search walks three steps out.
+vertex's forbidden colors (F1-F3) from color bitmasks it keeps up to date,
+in O(m * palette), where the exact search walks three steps out.
 """
 
 from __future__ import annotations
@@ -142,16 +142,18 @@ def greedy_star_coloring(graph: Graph, seed: int = 0) -> VertexColoring:
     The seed shuffles tie order among equal degrees; for a fixed seed the
     result is deterministic. Each vertex v takes the smallest color that
     keeps the partial coloring proper and free of bicolored 4-vertex paths,
-    so the final coloring always verifies. With cnt[y] counting the colors
-    on y's colored neighbors, and far[x] the colors of x's colored neighbors
-    y with cnt[y][col(x)] >= 2, the colors v may not take are
-      F1  the keys of cnt[v] (paths v, x);
+    so the final coloring always verifies. Color sets are int bitmasks, bit
+    c for color c: once[y] and twice[y] hold the colors on at least one and
+    at least two of y's colored neighbors, and far[x] the colors of x's
+    colored neighbors y with col(x) in twice[y]. The colors v may not take
+    are
+      F1  once[v] (paths v, x);
       F2  far[x] for each colored x in N(v) (paths v, x, y, z);
-      F3  the keys of cnt[w] for each colored w in N(v) whose color repeats
-          in N(v) (paths x, v, w, z, where z = x only repeats F1).
-    Both tables only grow, and far[x] gains a color when x or y is colored
-    or when cnt[y][col(x)] reaches 2, which scans N(y) once per (y, color)
-    pair, so the run costs O(m * palette).
+      F3  once[w] for each colored w in N(v) whose color is in twice[v]
+          (paths x, v, w, z, where z = x only repeats F1).
+    The masks only grow, and far[x] gains a color when x or y is colored
+    or when col(x) enters twice[y], which scans N(y) once per (y, color)
+    pair, so the run costs O(m * palette) word operations.
     """
     rng = random.Random(seed)
     order = list(range(graph.n))
@@ -159,32 +161,31 @@ def greedy_star_coloring(graph: Graph, seed: int = 0) -> VertexColoring:
     order.sort(key=lambda v: -graph.degree(v))
     adj = [graph.neighbors(v) for v in range(graph.n)]
     assign = [0] * graph.n
-    cnt = [{} for _ in range(graph.n)]
-    far = [set() for _ in range(graph.n)]
+    once, twice, far = [0] * graph.n, [0] * graph.n, [0] * graph.n
     for v in order:
-        around = cnt[v]
-        forbidden = set(around)
+        around = twice[v]
+        forbidden = 1 | once[v]  # bit 0 is no color, so color 0 is never free
         for w in adj[v]:
             cw = assign[w]
             if cw:
                 forbidden |= far[w]
-                if around[cw] >= 2:
-                    forbidden.update(cnt[w])
-        c = 1
-        while c in forbidden:
-            c += 1
-        assign[v] = c
+                if around >> cw & 1:
+                    forbidden |= once[w]
+        bit = ~forbidden & (forbidden + 1)
+        c = assign[v] = bit.bit_length() - 1
         for y in adj[v]:
-            seen = cnt[y]
-            seen[c] = times = seen.get(c, 0) + 1
+            seen = once[y] & bit
+            second = seen & ~twice[y]  # c has just entered twice[y]
+            once[y] |= bit
+            twice[y] |= seen
             cy = assign[y]
             if not cy:
                 continue
-            if times >= 2:
-                far[v].add(cy)
-            if times == 2:
+            if seen:
+                far[v] |= 1 << cy
+            if second:
                 # the one other neighbor of y colored c gains col(y) too
-                far[next(x for x in adj[y] if x != v and assign[x] == c)].add(cy)
-            if around[cy] >= 2:
-                far[y].add(c)
+                far[next(x for x in adj[y] if x != v and assign[x] == c)] |= 1 << cy
+            if around >> cy & 1:
+                far[y] |= bit
     return VertexColoring(max(assign), assign)

@@ -1,19 +1,16 @@
 """Exact maximum subgraph density and bounded in-degree orientations.
 
-The density of a graph is the maximum of |E'| / |V'| over its nonempty
-subgraphs. It is computed exactly by Dinkelbach's iteration: from the ratio
-m/n, an integer max-flow either saturates, proving the ratio optimal, or its
-min cut is a subgraph of strictly larger ratio, the next guess. The maximal
-min cut of the last flow is the witness, the union of all densest sets.
-
-An orientation with in-degree at most d exists exactly when no subgraph has
-more than d edges per vertex. It is found on the graph itself, without the
-edge/vertex network: each edge points at the endpoint that smallest-last
-order removes first (Matula-Beck 1983), so no in-degree exceeds the
-degeneracy, and one max-flow on the vertices reverses paths from overloaded
-vertices to ones with spare in-degree (Hakimi 1965). When that flow falls
-short, the vertices it can still reach from the source certify
-infeasibility. ``min_orientation`` takes its bound from the exact density.
+Both ask whether the edges can be spread over the vertices with a load of at
+most some bound on each, and both answer it with one max-flow on the n + 2
+vertex nodes (Hakimi 1965; Goldberg 1984). Each edge starts on the endpoint
+that smallest-last order removes first (Matula-Beck 1983); the flow moves
+load from overloaded vertices to ones with room, and when it falls short,
+the vertices it still reaches from the source form a subgraph beyond the
+bound. The density, the maximum of |E'| / |V'| over nonempty subgraphs, is
+exact by Dinkelbach's iteration: from m/n, each such subgraph's ratio is the
+next guess until a flow saturates. The vertices that cannot reach the sink
+in that last flow are the witness, the union of all densest sets.
+``min_orientation`` takes its in-degree bound from the exact density.
 """
 
 from __future__ import annotations
@@ -25,9 +22,6 @@ from fractions import Fraction
 
 from .coloring import verify_acyclic
 from .graphs import Graph, OrientedGraph, VertexColoring, smallest_last_order
-
-_INF = 1 << 62
-
 
 class OrientationInfeasible(Exception):
     """No orientation with the requested in-degree bound exists.
@@ -133,26 +127,51 @@ class _Dinic:
         return seen
 
 
-def _density_network(graph: Graph, bound: Fraction) -> tuple[int, _Dinic]:
-    """Max flow on the scaled network deciding whether some subgraph beats bound.
+def _smallest_last_start(graph: Graph) -> tuple[list, list]:
+    """The head of each sorted edge, the endpoint that smallest-last order
+    removes first (Matula-Beck 1983), and the in-degrees this gives, none
+    above the degeneracy."""
+    n = graph.n
+    rank = [0] * n
+    for i, v in enumerate(smallest_last_order([graph.neighbors(v) for v in range(n)])):
+        rank[v] = i
+    heads = [u if rank[u] < rank[v] else v for u, v in graph.sorted_edges]
+    in_degree = [0] * n
+    for head in heads:
+        in_degree[head] += 1
+    return heads, in_degree
 
-    Source feeds each edge node bound.denominator units; edge nodes fan out to
-    their endpoints; vertices drain bound.numerator to the sink. The flow
-    saturates (equals m * denominator) exactly when no nonempty subgraph has
-    density strictly above bound.
+
+def _load_flow(graph: Graph, start: tuple[list, list], bound: Fraction) -> tuple[_Dinic, list, list]:
+    """Max flow on n + 2 nodes deciding whether the edges can be spread over
+    the vertices with a load of at most bound = num / den on each.
+
+    Each edge starts with den units on its head in start. Source n feeds
+    each vertex its load above num, each vertex below num drains its spare
+    to sink n + 1, and an arc head -> tail of capacity den moves units across
+    the edge. A cut around a vertex set S costs the total excess minus
+    den * |E(S)| - num * |S|, so the min cuts are the sets maximizing that.
+    Returns the network, the arc of each sorted edge, and the least such set,
+    the residual reach of the source, which is empty exactly when no
+    subgraph is denser than bound.
     """
     num, den = bound.numerator, bound.denominator
-    m, n = graph.m, graph.n
-    net = _Dinic(2 + m + n)
-    src, sink = 0, 1 + m + n
-    for i, (u, v) in enumerate(graph.sorted_edges):
-        net.add_edge(src, 1 + i, den)
-        net.add_edge(1 + i, 1 + m + u, _INF)
-        net.add_edge(1 + i, 1 + m + v, _INF)
-    for v in range(n):
-        net.add_edge(1 + m + v, sink, num)
-    flow = net.max_flow(src, sink)
-    return flow, net
+    heads, in_degree = start
+    net, src, sink = _Dinic(graph.n + 2), graph.n, graph.n + 1
+    excess = 0
+    for v, deg in enumerate(in_degree):
+        over = deg * den - num
+        if over > 0:
+            net.add_edge(src, v, over)
+            excess += over
+        elif over < 0:
+            net.add_edge(v, sink, -over)
+    arcs = []
+    for (u, v), head in zip(graph.sorted_edges, heads):
+        net.add_edge(head, u + v - head, den)
+        arcs.append(net.adj[head][-1])
+    beyond = net.max_flow(src, sink) < excess
+    return net, arcs, sorted(net.reach(src) - {src}) if beyond else []
 
 
 def _edges_within(graph: Graph, inside: set) -> int:
@@ -168,20 +187,18 @@ def densest_subgraph(graph: Graph) -> Density:
     n, m = graph.n, graph.m
     if m == 0:
         return Density(Fraction(0), (0,))
+    start = _smallest_last_start(graph)
     value = Fraction(m, n)
     while True:
-        flow, net = _density_network(graph, value)
-        if flow == m * value.denominator:
+        net, _, beyond = _load_flow(graph, start, value)
+        if not beyond:
             break
-        # the source side of the min cut beats value; its ratio is the next guess
-        side = net.reach(0)
-        inside = {v for v in range(n) if (1 + m + v) in side}
-        del net, side  # hold one network at a time
-        value = Fraction(_edges_within(graph, inside), len(inside))
+        del net  # hold one network at a time
+        value = Fraction(_edges_within(graph, set(beyond)), len(beyond))
     # every densest set is a min cut at the density; the maximal min cut, all
-    # nodes cut off from the sink, is their union
-    to_sink = net.reach(1 + m + n, backward=True)
-    witness = [v for v in range(n) if (1 + m + v) not in to_sink]
+    # vertices cut off from the sink, is their union
+    to_sink = net.reach(n + 1, backward=True)
+    witness = [v for v in range(n) if v not in to_sink]
     if not witness or Fraction(_edges_within(graph, set(witness)), len(witness)) != value:
         raise AssertionError("density witness mismatch")
     return Density(value, tuple(witness))
@@ -191,45 +208,26 @@ def find_orientation(graph: Graph, d: int) -> OrientedGraph:
     """Orient every edge so that each in-degree is at most d.
 
     Starts from the smallest-last orientation, whose in-degrees are at most
-    the degeneracy. If some in-degree is still above d, one max-flow on n + 2
-    nodes repairs it: the source feeds each overloaded vertex its excess,
-    each arc a -> b becomes a unit arc b -> a (reversing it moves one unit of
-    in-degree from b to a), and each vertex below d drains its spare to the
-    sink; the arcs that carry flow are reversed. Raises OrientationInfeasible
-    when some subgraph has more than d edges per vertex. Its witness is the
-    least vertex set S maximizing |E(S)| - d * |S|, since a cut around S costs
-    the total excess minus that.
+    the degeneracy. If some in-degree is still above d, one load flow with
+    bound d repairs it: flow on a unit arc head -> tail reverses the edge,
+    moving one unit of in-degree from head to tail. Raises
+    OrientationInfeasible when some subgraph has more than d edges per
+    vertex. Its witness is the least vertex set S maximizing |E(S)| - d * |S|.
     """
     if d < 0:
         raise ValueError(f"in-degree bound must be nonnegative, got {d}")
-    n, edges = graph.n, graph.sorted_edges
-    rank = [0] * n
-    for i, v in enumerate(smallest_last_order([graph.neighbors(v) for v in range(n)])):
-        rank[v] = i
-    heads = [u if rank[u] < rank[v] else v for u, v in edges]
-    in_degree = [0] * n
-    for head in heads:
-        in_degree[head] += 1
+    start = heads, in_degree = _smallest_last_start(graph)
     if max(in_degree) > d:
-        net, src, sink = _Dinic(n + 2), n, n + 1
-        for v, deg in enumerate(in_degree):
-            if deg > d:
-                net.add_edge(src, v, deg - d)
-            elif deg < d:
-                net.add_edge(v, sink, d - deg)
-        arcs = []
-        for (u, v), head in zip(edges, heads):
-            net.add_edge(head, u + v - head, 1)
-            arcs.append(net.adj[head][-1])
-        if net.max_flow(src, sink) < sum(deg - d for deg in in_degree if deg > d):
+        _, arcs, witness = _load_flow(graph, start, Fraction(d))
+        if witness:
             # the reach is closed under parents once the flow is applied, and
             # every vertex in it keeps in-degree >= d, one of them more
-            witness = tuple(sorted(net.reach(src) - {src}))
             if _edges_within(graph, set(witness)) <= d * len(witness):
                 raise AssertionError("infeasibility witness mismatch")
-            raise OrientationInfeasible(d, witness)
+            raise OrientationInfeasible(d, tuple(witness))
         # a saturated arc head -> tail was reversed: its tail is the new head
         heads = [arc[0] if arc[1] == 0 else head for arc, head in zip(arcs, heads)]
+    edges = graph.sorted_edges
     direction = {(u, v): (v, u) if head == u else (u, v) for (u, v), head in zip(edges, heads)}
     return OrientedGraph(graph, direction)
 
@@ -238,9 +236,9 @@ def min_orientation(graph: Graph) -> tuple[int, OrientedGraph]:
     """Smallest feasible in-degree bound and an orientation achieving it.
 
     The bound is the ceiling of the exact maximum density (0 for edgeless
-    graphs); the pigeonhole argument shows nothing smaller can work. Only
-    the bound comes from densest_subgraph and its edge/vertex network; the
-    orientation comes from find_orientation, which builds no such network.
+    graphs); the pigeonhole argument shows nothing smaller can work. The
+    bound comes from densest_subgraph and the orientation from
+    find_orientation, each through the same load flow.
     """
     dens = densest_subgraph(graph)
     d = math.ceil(dens.value)

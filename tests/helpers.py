@@ -1,9 +1,9 @@
 """Shared test fixtures: graph families, random corpora, brute-force oracles.
 
 The oracles here deliberately avoid the library's own algorithms so they can
-serve as independent ground truth: density by subset enumeration, orientation
-existence by pruned exhaustive assignment, orientations by a flow on the
-edge/vertex network, star validity by the
+serve as independent ground truth: density by subset enumeration, density
+and orientations by flows on the edge/vertex network, orientation
+existence by pruned exhaustive assignment, star validity by the
 every-bicolored-component-is-a-star characterization, out-colorings as
 in-colorings of the transpose, tuple-target ids by a walk over every
 coordinate and letter, tuple-target edge colors on dense tuples,
@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from ectarget.coloring import _star_safe
-from ectarget.density import _INF, OrientationInfeasible, _density_network
+from ectarget.density import Density, OrientationInfeasible, _Dinic
 from ectarget.graphs import EdgeColoredGraph, Graph, OrientedGraph, VertexColoring
 
 
@@ -171,6 +171,57 @@ def orientation_exists_bruteforce(graph: Graph, d: int) -> bool:
         return False
 
     return rec(0, len(edges))
+
+
+_INF = 1 << 62
+
+
+def _density_network(graph: Graph, bound: Fraction) -> tuple[int, _Dinic]:
+    """Max flow on the scaled network deciding whether some subgraph beats bound.
+
+    Source feeds each edge node bound.denominator units; edge nodes fan out to
+    their endpoints; vertices drain bound.numerator to the sink. The flow
+    saturates (equals m * denominator) exactly when no nonempty subgraph has
+    density strictly above bound.
+    """
+    num, den = bound.numerator, bound.denominator
+    m, n = graph.m, graph.n
+    net = _Dinic(2 + m + n)
+    src, sink = 0, 1 + m + n
+    for i, (u, v) in enumerate(graph.sorted_edges):
+        net.add_edge(src, 1 + i, den)
+        net.add_edge(1 + i, 1 + m + u, _INF)
+        net.add_edge(1 + i, 1 + m + v, _INF)
+    for v in range(n):
+        net.add_edge(1 + m + v, sink, num)
+    flow = net.max_flow(src, sink)
+    return flow, net
+
+
+def edge_network_density(graph: Graph) -> Density:
+    """Dinkelbach's iteration on the edge/vertex network (n + m + 2 nodes):
+    the reference for the library's densest_subgraph on the n + 2 load
+    network, with the same value and the same maximal witness."""
+    n, m = graph.n, graph.m
+    if m == 0:
+        return Density(Fraction(0), (0,))
+    value = Fraction(m, n)
+    while True:
+        flow, net = _density_network(graph, value)
+        if flow == m * value.denominator:
+            break
+        # the source side of the min cut beats value; its ratio is the next guess
+        side = net.reach(0)
+        inside = {v for v in range(n) if (1 + m + v) in side}
+        del net, side  # hold one network at a time
+        value = Fraction(edges_within(graph, inside), len(inside))
+    # every densest set is a min cut at the density; the maximal min cut, all
+    # nodes cut off from the sink, is their union
+    to_sink = net.reach(1 + m + n, backward=True)
+    witness = [v for v in range(n) if (1 + m + v) not in to_sink]
+    if not witness or Fraction(edges_within(graph, witness), len(witness)) != value:
+        raise AssertionError("density witness mismatch")
+    return Density(value, tuple(witness))
 
 
 def edge_network_orientation(graph: Graph, d: int) -> OrientedGraph:

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -127,6 +128,19 @@ def test_greedy_star_is_fast_on_hubs(hubs, leaves, palette):
     assert time.perf_counter() - start < 3.0
     assert col.palette == palette
     assert verify_star(g, col)
+
+
+def test_greedy_star_keeps_a_few_words_per_vertex():
+    g = stacked_triangulation(10000, 1)
+    expected = greedy_star_coloring(g)  # caches the graph's adjacency first
+    tracemalloc.start()
+    try:
+        col = greedy_star_coloring(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert col == expected
+    assert peak < 3_000_000
 
 
 @given(graphs(max_n=8))

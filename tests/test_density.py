@@ -16,10 +16,12 @@ from ectarget.density import (
 )
 from ectarget.graphs import Graph, VertexColoring, smallest_last_order
 from helpers import (
+    acceptance_corpus,
     brute_density,
     brute_witness,
     clique,
     cycle,
+    edge_network_density,
     edge_network_orientation,
     edges_within,
     grid,
@@ -100,6 +102,26 @@ def test_density_witness_is_union_of_all_densest_sets(g):
     # edgeless graphs are witnessed by vertex 0 alone by convention
     expected = brute_witness(g) if g.m else (0,)
     assert densest_subgraph(g).witness == expected
+
+
+def planted_clique():
+    """stacked_triangulation(260, 1) with a K20 planted on vertices 0-19."""
+    return Graph(260, set(stacked_triangulation(260, 1).edges) | set(clique(20).edges))
+
+
+@given(graphs(max_n=10))
+@settings(max_examples=150)
+def test_density_agrees_with_the_edge_network_reference(g):
+    assert densest_subgraph(g) == edge_network_density(g)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [g for _, g in acceptance_corpus()] + [planted_clique()],
+    ids=[name for name, _ in acceptance_corpus()] + ["planted-clique-260-20"],
+)
+def test_density_agrees_with_the_edge_network_reference_on_the_corpus(graph):
+    assert densest_subgraph(graph) == edge_network_density(graph)
 
 
 def densest_with_flow_count(graph):
@@ -216,9 +238,9 @@ def test_orientation_agrees_with_the_edge_network_reference(g):
         assert infeasibility_witness(find_orientation, g, d) == expected
 
 
-def networks_built(graph, d):
-    """find_orientation(graph, d), or the OrientationInfeasible it raised,
-    and the node count of every _Dinic network it built."""
+def networks_built(function, *args):
+    """function(*args), or the OrientationInfeasible it raised, and the node
+    count of every _Dinic network it built."""
     sizes = []
     init = _Dinic.__init__
 
@@ -229,7 +251,7 @@ def networks_built(graph, d):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Dinic, "__init__", counted)
         try:
-            result = find_orientation(graph, d)
+            result = function(*args)
         except OrientationInfeasible as exc:
             result = exc
     return result, sizes
@@ -246,20 +268,30 @@ def test_orientation_builds_no_network_when_the_smallest_last_start_fits(monkeyp
 @pytest.mark.parametrize("t", [3, 8, 13])
 def test_orientation_repairs_a_clique_with_one_vertex_network(t):
     d = t // 2  # ceil((t - 1) / 2)
-    oriented, sizes = networks_built(clique(t), d)
+    oriented, sizes = networks_built(find_orientation, clique(t), d)
     assert oriented.max_in_degree <= d
     assert sizes == [t + 2]
-    exc, sizes = networks_built(clique(t), d - 1)
+    exc, sizes = networks_built(find_orientation, clique(t), d - 1)
     assert isinstance(exc, OrientationInfeasible)
     assert exc.witness == tuple(range(t))
     assert sizes == [t + 2]
 
 
 def test_orientation_repairs_a_planted_clique_with_one_vertex_network():
-    g = Graph(260, set(stacked_triangulation(260, 1).edges) | set(clique(20).edges))
-    oriented, sizes = networks_built(g, 10)
+    oriented, sizes = networks_built(find_orientation, planted_clique(), 10)
     assert oriented.max_in_degree <= 10
     assert sizes == [262]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [stacked_triangulation(300, 1), grid(10, 10), clique(7), planted_clique()],
+    ids=["triangulation-300", "grid-10x10", "clique-7", "planted-clique-260-20"],
+)
+def test_density_builds_only_vertex_networks(graph):
+    dens, sizes = networks_built(densest_subgraph, graph)
+    assert dens == edge_network_density(graph)
+    assert sizes and all(size == graph.n + 2 for size in sizes)
 
 
 def test_orientation_matches_exhaustive_search():
