@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .density import densest_subgraph
-from .graphs import Graph
+from .graphs import Graph, Value
 
 
 def ceil_sqrt(x: int) -> int:
@@ -38,12 +36,10 @@ def ceil_log(p: int, k: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class PowerBound:
+class PowerBound(Value):
     """An exact value of the form base ** exponent for rational exponents."""
 
-    base: int
-    exponent: Fraction
+    _fields = ("base", "exponent")
 
     @property
     def approx(self) -> float:
@@ -55,14 +51,10 @@ class PowerBound:
         return self.base**p <= other**q
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Value):
     """Lower and upper bound on the minimum universal target size."""
 
-    lower: int
-    upper: int
-    parameters: dict
-    notes: dict
+    _fields = ("lower", "upper", "parameters", "notes")
 
     def to_dict(self) -> dict:
         """The report with both bounds as decimal strings."""

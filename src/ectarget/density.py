@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import verify_acyclic
-from .graphs import Graph, OrientedGraph, VertexColoring, smallest_last_order
+from .graphs import Graph, OrientedGraph, Value, VertexColoring, smallest_last_order
 
 class OrientationInfeasible(Exception):
     """No orientation with the requested in-degree bound exists.
@@ -38,12 +37,10 @@ class OrientationInfeasible(Exception):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Density:
+class Density(Value):
     """Exact maximum subgraph density together with a witness vertex set."""
 
-    value: Fraction
-    witness: tuple
+    _fields = ("value", "witness")
 
 
 class _Dinic:

@@ -2,8 +2,8 @@
 
 Vertices are dense integer ids ``0..n-1``; edges are unordered pairs stored
 as ``(u, v)`` with ``u < v``; edge colors are 1-based, so a k-edge-colored
-graph uses colors ``1..k``. All types are frozen after construction and can
-be shared freely across threads.
+graph uses colors ``1..k``. All types are frozen after construction, by the
+small ``Value`` base below, and can be shared freely across threads.
 
 Text format (UTF-8, LF newlines): first line ``n m k``, then ``m`` lines
 ``u v c``. Lines starting with ``#`` are comments and may appear anywhere.
@@ -15,9 +15,9 @@ from ``u`` to ``v``, ``u v c <`` the other way.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Iterable, Mapping
 
 
 class GraphFormatError(ValueError):
@@ -28,19 +28,23 @@ class GuardExceeded(RuntimeError):
     """An operation would exceed its configured size guard."""
 
 
-@dataclass(frozen=True)
-class Limits:
+_LIMIT_DEFAULTS = {
+    "exact_coloring_n": 20,  # graph of an exact star coloring search
+    "search_source_n": 12,  # source of a homomorphism search
+    "search_target_n": 64,  # target of a homomorphism search
+    "colorings": 10**6,  # k^m edge colorings a universality check enumerates
+    "min_target_p": 5,  # largest target a minimum-target search tries
+    "explicit_vertices": 1000,  # tuple target written out as an explicit graph
+    "listed_vertices": 10**6,  # tuple target whose vertices are listed
+    "count_table_bytes": 2**25,  # estimated size of a tuple target's count table
+    "graph_n": 10**6,  # vertices of a graph file the command line reads
+}
+
+
+class Limits(namedtuple("Limits", _LIMIT_DEFAULTS, defaults=_LIMIT_DEFAULTS.values())):
     """Size guards that keep the exhaustive operations at desk scale."""
 
-    exact_coloring_n: int = 20  # graph of an exact star coloring search
-    search_source_n: int = 12  # source of a homomorphism search
-    search_target_n: int = 64  # target of a homomorphism search
-    colorings: int = 10**6  # k^m edge colorings a universality check enumerates
-    min_target_p: int = 5  # largest target a minimum-target search tries
-    explicit_vertices: int = 1000  # tuple target written out as an explicit graph
-    listed_vertices: int = 10**6  # tuple target whose vertices are listed
-    count_table_bytes: int = 2**25  # estimated size of a tuple target's count table
-    graph_n: int = 10**6  # vertices of a graph file the command line reads
+    __slots__ = ()
 
     def check(self, name: str, value: int, what: str) -> None:
         """Raise GuardExceeded when value is above the limit called name.
@@ -52,20 +56,51 @@ class Limits:
         if value > limit:
             raise GuardExceeded(f"{what} exceeds the limit {name}={limit}")
 
-    def raised(self, floor: int) -> "Limits":
+    def raised(self, floor: int) -> Limits:
         """These limits with every one below floor raised to floor."""
-        return Limits(*(max(getattr(self, f.name), floor) for f in fields(self)))
+        return Limits(*(max(limit, floor) for limit in self))
 
 
 LIMITS = Limits()
 
 
-@dataclass(frozen=True)
-class Graph:
+class Value:
+    """A frozen record: equality, hashing and repr go by the attributes that
+    _fields names, and none can be set or deleted once __init__ has stored
+    them in the instance dict (where cached_property also writes)."""
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
+        vars(self).update(zip(names, args), **kwargs)  # past the frozen __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(Value):
     """Simple undirected graph on vertex ids 0..n-1; no loops, no multi-edges."""
 
-    n: int
-    edges: frozenset
+    _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(n, int) or n < 1:
@@ -77,8 +112,7 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {u} {v} has an endpoint outside 0..{n - 1}")
             canon.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(canon))
+        super().__init__(n, frozenset(canon))
 
     @property
     def m(self) -> int:
@@ -134,13 +168,10 @@ def smallest_last_order(adjacency) -> list:
     return removal
 
 
-@dataclass(frozen=True)
-class EdgeColoredGraph:
+class EdgeColoredGraph(Value):
     """A graph together with a total edge coloring into 1..k, for k >= 2."""
 
-    graph: Graph
-    k: int
-    color: dict
+    _fields = ("graph", "k", "color")
 
     def __init__(self, graph: Graph, k: int, color: Mapping[tuple[int, int], int]):
         if k < 2:
@@ -156,9 +187,7 @@ class EdgeColoredGraph:
         for (u, v), c in canon.items():
             if not (1 <= c <= k):
                 raise ValueError(f"color {c} on edge {u} {v} outside 1..{k}")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "color", {e: canon[e] for e in sorted(canon)})
+        super().__init__(graph, k, {e: canon[e] for e in sorted(canon)})
 
     def edge_color(self, u: int, v: int) -> int:
         return self.color[(u, v) if u < v else (v, u)]
@@ -173,12 +202,10 @@ class EdgeColoredGraph:
         return by_color
 
 
-@dataclass(frozen=True)
-class OrientedGraph:
+class OrientedGraph(Value):
     """A graph plus one direction (tail, head) per edge."""
 
-    graph: Graph
-    direction: dict
+    _fields = ("graph", "direction")
 
     def __init__(self, graph: Graph, direction: Mapping[tuple[int, int], tuple[int, int]]):
         canon = {}
@@ -191,8 +218,7 @@ class OrientedGraph:
             canon[e] = (tail, head)
         if set(canon) != set(graph.edges):
             raise ValueError("direction map must cover exactly the edge set")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "direction", {e: canon[e] for e in sorted(canon)})
+        super().__init__(graph, {e: canon[e] for e in sorted(canon)})
 
     # direction is in sorted edge order, so each vertex meets its lower
     # neighbors first and every list below fills in ascending id order
@@ -225,12 +251,10 @@ class OrientedGraph:
         return max(len(p) for p in self._parents)
 
 
-@dataclass(frozen=True)
-class VertexColoring:
+class VertexColoring(Value):
     """Total vertex -> color map with a declared palette; colors are 1..palette."""
 
-    palette: int
-    assign: tuple
+    _fields = ("palette", "assign")
 
     def __init__(self, palette: int, assign: Iterable[int]):
         if palette < 1:
@@ -239,8 +263,7 @@ class VertexColoring:
         for v, c in enumerate(assign):
             if not (1 <= c <= palette):
                 raise ValueError(f"vertex {v} colored {c} outside 1..{palette}")
-        object.__setattr__(self, "palette", palette)
-        object.__setattr__(self, "assign", assign)
+        super().__init__(palette, assign)
 
     def __getitem__(self, v: int) -> int:
         return self.assign[v]
@@ -249,14 +272,13 @@ class VertexColoring:
         return len(self.assign)
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Value):
     """A total vertex map into a target, as a tuple indexed by source id."""
 
-    mapping: tuple
+    _fields = ("mapping",)
 
     def __init__(self, mapping: Iterable[int]):
-        object.__setattr__(self, "mapping", tuple(mapping))
+        super().__init__(tuple(mapping))
 
     def __getitem__(self, v: int) -> int:
         return self.mapping[v]

@@ -22,12 +22,11 @@ repair, within a (2d+1)*p^m budget.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 
 from .bounds import ceil_log
 from .coloring import verify_star
-from .graphs import LIMITS, EdgeColoredGraph, Limits, OrientedGraph, VertexColoring, smallest_last_order
+from .graphs import LIMITS, EdgeColoredGraph, Limits, OrientedGraph, Value, VertexColoring, smallest_last_order
 
 
 class TargetNotUniversal(Exception):
@@ -43,8 +42,7 @@ class TargetNotUniversal(Exception):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class OutColoringCertificate:
+class OutColoringCertificate(Value):
     """A verified out-coloring plus its declared palette budget.
 
     budget and rule_counts describe the construction that proves the budget;
@@ -53,9 +51,7 @@ class OutColoringCertificate:
     rules first fired.
     """
 
-    coloring: VertexColoring
-    budget: int
-    rule_counts: dict
+    _fields = ("coloring", "budget", "rule_counts")
 
 
 def verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> bool:

@@ -1,7 +1,10 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -521,3 +524,14 @@ def test_text_format_smoke(tmp_path, capsys):
     code, out = run(capsys, "density", str(f), "--format", "text")
     assert code == 0
     assert "density: 3/2" in out
+
+
+def test_cli_starts_without_the_introspection_modules():
+    # -S keeps site's own imports out of the check
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis")
+    probe = f"import sys, ectarget.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
