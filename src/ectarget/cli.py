@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 verified negative (infeasible, not found, or
 counterexample), 2 usage or input error, 3 size guard exceeded. Commands
 that emit a constructed object always run the matching verifier first.
 Identical inputs and seed produce byte-identical output. The environment
-variable ECTARGET_GUARD_OVERRIDE raises each of the nine size limits of
+variable ECTARGET_GUARD_OVERRIDE raises each of the eight size limits of
 ``Limits`` that is below the given integer to it (searches can then be very
 slow); only the commands that hit a limit read it.
 """

@@ -35,7 +35,6 @@ _LIMIT_DEFAULTS = {
     "colorings": 10**6,  # k^m edge colorings a universality check enumerates
     "min_target_p": 5,  # largest target a minimum-target search tries
     "explicit_vertices": 1000,  # tuple target written out as an explicit graph
-    "listed_vertices": 10**6,  # tuple target whose vertices are listed
     "count_table_bytes": 2**25,  # estimated size of a tuple target's count table
     "graph_n": 10**6,  # vertices of a graph file the command line reads
 }

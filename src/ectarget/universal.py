@@ -6,14 +6,13 @@ vertices are the (q+1)-tuples (i, x_1, ..., x_q) with i in 1..q, every x_j in
 between two distinct tuples u and v is min(v[u[0]], u[v[0]]): each endpoint's
 leading coordinate selects one coordinate of the other.
 
-Vertex ids follow the lexicographic order of the tuples. Inside this module a
-vertex is kept in sparse form only: its lead and the at most d (position,
-value) pairs where it differs from k. One table of suffix counts, stored by
+Vertex ids follow the lexicographic order of the tuples. A vertex is kept
+in sparse form only: its lead and the at most d (position, value) pairs
+where it differs from k. One table of suffix counts, stored by
 budget, ranks that form in O(d) and unranks an id in O(d log q), and one
 color rule applies to two sparse vertices, so homomorphism images and edge
-colors never walk all q coordinates. Listing the vertices and writing the
-target out as an explicit graph both go through that unrank and that rule;
-dense tuples appear only in rank, unrank and the vertex listing.
+colors never walk all q coordinates. The explicit graph of a small target
+comes from the same _unrank and _color; no dense tuple is ever built.
 
 The module also hosts the search oracles: complete backtracking homomorphism
 search, exhaustive universality checking over all k-edge-colorings of a
@@ -72,13 +71,6 @@ class UniversalTarget:
     def header(self) -> dict:
         return {"q": self.q, "d": self.d, "k": self.k}
 
-    def is_vertex(self, vertex: tuple) -> bool:
-        if len(vertex) != self.q + 1 or not (1 <= vertex[0] <= self.q):
-            return False
-        if any(not (1 <= x <= self.k) for x in vertex[1:]):
-            return False
-        return sum(1 for x in vertex[1:] if x != self.k) <= self.d
-
     def _rank(self, lead: int, coords: list[tuple[int, int]]) -> int:
         """Id of the vertex with the given lead whose non-k coordinates are
         the (position, value) pairs coords, in increasing position order.
@@ -118,31 +110,11 @@ class UniversalTarget:
             b, rest = b - 1, length - 1
         return lead + 1, coords
 
-    def rank(self, vertex: tuple) -> int:
-        """Lexicographic id of a tuple vertex."""
-        if not self.is_vertex(vertex):
-            raise ValueError(f"not a vertex of this target: {vertex!r}")
-        return self._rank(vertex[0], [(p, x) for p, x in enumerate(vertex[1:], 1) if x != self.k])
-
-    def unrank(self, idx: int) -> tuple:
-        """Tuple vertex with the given lexicographic id."""
-        lead, coords = self._unrank(idx)
-        xs = [self.k] * self.q
-        for p, x in coords.items():
-            xs[p - 1] = x
-        return (lead, *xs)
-
     def _color(self, a: tuple[int, dict], b: tuple[int, dict]) -> int:
         """Color of the edge between two distinct sparse vertices: each lead
         selects a coordinate of the other vertex, k where none is stored."""
         (la, ca), (lb, cb) = a, b
         return min(cb.get(la, self.k), ca.get(lb, self.k))
-
-    @property
-    def vertices(self) -> tuple:
-        """All tuple vertices in lexicographic order."""
-        self.limits.check("listed_vertices", self.vertex_count, f"listing {self.vertex_count} vertices")
-        return tuple(map(self.unrank, range(self.vertex_count)))
 
     def to_edge_colored_graph(self) -> EdgeColoredGraph:
         """Explicit complete edge-colored graph; only sensible for small targets."""
@@ -314,7 +286,8 @@ def check_universal(
     if k != target.k:
         raise ValueError(f"edge palette mismatch: k={k}, target k={target.k}")
     m = graph.m
-    limits.check("colorings", k**m, f"enumerating {k}^{m} colorings")
+    # k >= 2, so k^m is above the limit exactly when this capped power is
+    limits.check("colorings", k ** min(m, limits.colorings.bit_length()), f"enumerating {k}^{m} colorings")
     target = _search_target(target, limits)
     edges = graph.sorted_edges
     for combo in itertools.product(range(1, k + 1), repeat=m):
@@ -324,16 +297,28 @@ def check_universal(
     return None
 
 
-def _canonical(assign, vertex_maps, color_maps) -> bool:
+def _restricted_growth(length: int, k: int):
+    """Lazily, in lexicographic order, the words over 0..k whose colors 1..k
+    first appear in increasing order: one per orbit of the color maps."""
+    if length == 0:
+        yield ()
+        return
+    for head in _restricted_growth(length - 1, k):
+        for x in range(min(max(head, default=0) + 1, k) + 1):
+            yield head + (x,)
+
+
+def _canonical(assign, vertex_maps) -> bool:
+    """True iff no vertex map, its colors then relabeled in order of first
+    appearance (its least color map), makes assign lexicographically smaller."""
     for vmap in vertex_maps:
-        for cmap in color_maps:
-            # lazy lexicographic comparison of the transformed assignment
-            for j, slot in enumerate(vmap):
-                x = cmap[assign[slot]]
-                if x != assign[j]:
-                    if x < assign[j]:
-                        return False
-                    break
+        relabel = {0: 0}
+        for j, slot in enumerate(vmap):
+            x = relabel.setdefault(assign[slot], len(relabel))
+            if x != assign[j]:
+                if x < assign[j]:
+                    return False
+                break
     return True
 
 
@@ -367,9 +352,8 @@ def min_universal_size(
             vertex_maps.append(
                 tuple(pair_index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs)
             )
-        color_maps = [(0,) + perm for perm in itertools.permutations(range(1, k + 1))]
-        for assign in itertools.product(range(k + 1), repeat=len(pairs)):
-            if not _canonical(assign, vertex_maps, color_maps):
+        for assign in _restricted_growth(len(pairs), k):
+            if not _canonical(assign, vertex_maps):
                 continue
             edges = {pairs[i]: c for i, c in enumerate(assign) if c}
             candidate = EdgeColoredGraph(Graph(p, edges.keys()), k, edges)

@@ -8,8 +8,8 @@ every-bicolored-component-is-a-star characterization, out-colorings as
 in-colorings of the transpose, tuple-target ids by a walk over every
 coordinate and letter, tuple-target edge colors on dense tuples,
 smallest-last order by a scan of every remaining vertex, star colorings by
-enumerating 4-vertex paths, the greedy star coloring by walking three steps
-out from each vertex for every candidate color.
+enumerating 4-vertex paths, the greedy and exact star colorings by walking
+three steps out from each vertex for every candidate color.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import random
 import sys
 from fractions import Fraction
 
-from ectarget.coloring import _star_safe
 from ectarget.density import Density, OrientationInfeasible, _Dinic
 from ectarget.graphs import EdgeColoredGraph, Graph, OrientedGraph, VertexColoring
 
@@ -338,6 +337,70 @@ def scan_degeneracy_greedy(n: int, adjacency: dict, max_colors: int) -> list:
     return colors
 
 
+def _star_safe(graph: Graph, assign: list, v: int, c: int) -> bool:
+    """Would coloring v with c keep the partial coloring star-valid?
+
+    Checks properness and every 4-vertex path through v whose other vertices
+    are already colored (0 marks uncolored). Checking each path when its last
+    vertex is colored covers all paths exactly once over a full run.
+    """
+    for u in graph.neighbors(v):
+        if assign[u] == c:
+            return False
+    # v as an endpoint: paths v, x, y, z
+    for x in graph.neighbors(v):
+        cx = assign[x]
+        if not cx:
+            continue
+        for y in graph.neighbors(x):
+            if y == v or assign[y] != c:
+                continue
+            for z in graph.neighbors(y):
+                if z == v or z == x:
+                    continue
+                if assign[z] == cx:
+                    return False
+    # v as an inner vertex: paths x, v, w, z
+    for x in graph.neighbors(v):
+        cx = assign[x]
+        if not cx:
+            continue
+        for w in graph.neighbors(v):
+            if w == x or assign[w] != cx:
+                continue
+            for z in graph.neighbors(w):
+                if z == v or z == x:
+                    continue
+                if assign[z] == c:
+                    return False
+    return True
+
+
+def three_step_exact_star(graph: Graph, c_max: int) -> VertexColoring | None:
+    """Star coloring with at most c_max colors by backtracking that tests
+    each candidate color with _star_safe: the reference for the library's
+    exact_star_coloring, with the same (-degree, id) vertex order and the
+    same colors tried in first-use order."""
+    order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+    assign = [0] * graph.n
+
+    def rec(pos: int, used: int) -> bool:
+        if pos == graph.n:
+            return True
+        v = order[pos]
+        for c in range(1, min(used + 1, c_max) + 1):
+            if _star_safe(graph, assign, v, c):
+                assign[v] = c
+                if rec(pos + 1, max(used, c)):
+                    return True
+                assign[v] = 0
+        return False
+
+    if c_max < 1 or not rec(0, 0):
+        return None
+    return VertexColoring(max(assign), assign)
+
+
 def three_step_star_greedy(graph: Graph, seed: int = 0) -> VertexColoring:
     """Greedy star coloring that tests each candidate color with _star_safe,
     a walk three steps out from the vertex: the O(palette · deg³) reference
@@ -407,6 +470,21 @@ class DenseTupleOrder:
                     break
                 rem -= cnt
         return tuple(out)
+
+
+def dense_unrank(target, idx: int) -> tuple:
+    """The dense tuple (lead, x_1, ..., x_q) of a library target's vertex id,
+    built from its sparse _unrank."""
+    lead, coords = target._unrank(idx)
+    xs = [target.k] * target.q
+    for p, x in coords.items():
+        xs[p - 1] = x
+    return (lead, *xs)
+
+
+def dense_rank(target, vertex: tuple) -> int:
+    """A library target's id for a dense tuple, through its sparse _rank."""
+    return target._rank(vertex[0], [(p, x) for p, x in enumerate(vertex[1:], 1) if x != target.k])
 
 
 def paths_verify_star(graph: Graph, coloring: VertexColoring) -> bool:

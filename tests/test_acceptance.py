@@ -30,6 +30,7 @@ from helpers import (
     aux_triples,
     brute_density,
     clique,
+    dense_unrank,
     edges_within,
     orientation_exists_bruteforce,
     path,
@@ -114,7 +115,9 @@ def test_criterion_2_target_size_identity_and_strict_bound():
                 expected = q * sum(
                     math.comb(q, j) * (k - 1) ** j for j in range(d + 1)
                 )
-                if target.vertex_count != expected or len(target.vertices) != expected:
+                listed = {dense_unrank(target, i) for i in range(target.vertex_count)}
+                valid = all(sum(x != k for x in v[1:]) <= d for v in listed)
+                if target.vertex_count != expected or len(listed) != expected or not valid:
                     identity_failures.append((q, d, k))
                 bound = q * math.comb(q, d) * k**d
                 if d < q:

@@ -509,6 +509,30 @@ def test_check_universal_on_a_long_path_exits_three(tmp_path, capsys):
     assert "2^15000" in capsys.readouterr().err
 
 
+def test_check_universal_with_a_googol_colors_exits_three_at_once(tmp_path, capsys):
+    # the header passes count_table_bytes; (10^100)^60000 alone would take seconds
+    k = str(10**100)
+    graph_file = tmp_path / "path.g"
+    graph_file.write_text(serialize_graph(path(60001)))
+    target = tmp_path / "t.json"
+    target.write_text(f'{{"q": 1, "d": 0, "k": {k}}}\n')
+    start = time.perf_counter()
+    assert cli.main(["check-universal", str(target), "--graph", str(graph_file), "--k", k]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert f"{k}^60000 colorings exceeds the limit colorings=" in capsys.readouterr().err
+
+
+def test_min_target_with_twelve_colors_answers_at_once(tmp_path, capsys):
+    # 12! color maps would need tens of GB if listed before the first candidate
+    graph_file = tmp_path / "one.g"
+    graph_file.write_text("1 0 1\n")
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "min-target", str(graph_file), "--k", "12", "--max-p", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert payload == {"found": True, "size": 1, "target": ["1 0 12"]}
+
+
 def test_density_on_a_long_ladder_within_a_low_recursion_limit(tmp_path, capsys):
     f = tmp_path / "ladder.g"
     f.write_text(serialize_graph(grid(2, 300)))

@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 from itertools import combinations
@@ -19,8 +20,10 @@ from helpers import (
     cycle,
     path,
     paths_verify_star,
+    random_graph,
     stacked_triangulation,
     star_ok_by_components,
+    three_step_exact_star,
     three_step_star_greedy,
 )
 
@@ -69,6 +72,29 @@ def test_exact_star_monotone_in_budget():
         for c in range(2, 5):
             if exact_star_coloring(g, c) is None:
                 assert exact_star_coloring(g, c - 1) is None
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_exact_star_matches_three_step_reference(block):
+    # 100 seeded graphs per block, n <= 14 and edge probability anywhere in
+    # [0, 1), so every budget from 0 to 8 meets both outcomes
+    outcomes = set()
+    for seed in range(100 * block, 100 * block + 100):
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(1, 14), rng.random(), rng)
+        for c_max in range(9):
+            result = exact_star_coloring(g, c_max)
+            assert result == three_step_exact_star(g, c_max), (seed, c_max)
+            outcomes.add(result is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_exact_star_matches_three_step_reference_at_twenty_vertices(seed):
+    rng = random.Random(seed)
+    g = random_graph(20, rng.uniform(0.1, 0.3), rng)
+    for c_max in range(3, 9):
+        assert exact_star_coloring(g, c_max) == three_step_exact_star(g, c_max)
 
 
 def test_exact_searches_are_guarded():

@@ -28,7 +28,6 @@ OPERATIONS = {
     "colorings": (2**3, lambda lim: check_universal(P3_TARGET, path(4), 2, lim)),
     "min_target_p": (2, lambda lim: min_universal_size([Graph(2)], 2, 2, lim)),
     "explicit_vertices": (6, lambda lim: build_universal(2, 1, 2, lim).to_edge_colored_graph()),
-    "listed_vertices": (6, lambda lim: build_universal(2, 1, 2, lim).vertices),
     # 3 x 2 entries of 32 bytes and one byte of value bits each
     "count_table_bytes": (198, lambda lim: build_universal(2, 1, 2, lim)),
     "graph_n": (5, read_by_cli),
@@ -36,7 +35,7 @@ OPERATIONS = {
 
 
 def test_defaults():
-    assert LIMITS == Limits(20, 12, 64, 10**6, 5, 1000, 10**6, 2**25, 10**6)
+    assert LIMITS == Limits(20, 12, 64, 10**6, 5, 1000, 2**25, 10**6)
     assert sorted(OPERATIONS) == sorted(Limits._fields)
 
 
@@ -49,7 +48,7 @@ def test_limit_boundary(name):
 
 
 def test_raised_lifts_only_the_lower_limits():
-    assert LIMITS.raised(100) == Limits(100, 100, 100, 10**6, 100, 1000, 10**6, 2**25, 10**6)
+    assert LIMITS.raised(100) == Limits(100, 100, 100, 10**6, 100, 1000, 2**25, 10**6)
     assert LIMITS.raised(0) == LIMITS
 
 

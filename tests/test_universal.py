@@ -21,6 +21,8 @@ from ectarget.graphs import (
 )
 from ectarget.out_coloring import build_out_coloring
 from ectarget.universal import (
+    _canonical,
+    _restricted_growth,
     build_homomorphism,
     build_universal,
     check_universal,
@@ -28,17 +30,32 @@ from ectarget.universal import (
     min_universal_size,
     verify_homomorphism,
 )
-from helpers import DenseTupleOrder, clique, edge_color, grid, path, random_coloring, recursion_limit
+from helpers import (
+    DenseTupleOrder,
+    clique,
+    dense_rank,
+    dense_unrank,
+    edge_color,
+    grid,
+    path,
+    random_coloring,
+    recursion_limit,
+)
 
 
 def closed_form(q, d, k):
     return q * sum(math.comb(q, j) * (k - 1) ** j for j in range(min(d, q) + 1))
 
 
+def listing(target) -> tuple:
+    """Every vertex of a tuple target as a dense tuple, in id order."""
+    return tuple(dense_unrank(target, i) for i in range(target.vertex_count))
+
+
 def test_build_universal_q2_d1_k2():
     target = build_universal(2, 1, 2)
     assert target.vertex_count == 6 == closed_form(2, 1, 2)
-    assert target.vertices == (
+    assert listing(target) == (
         (1, 1, 2),
         (1, 2, 1),
         (1, 2, 2),
@@ -50,12 +67,12 @@ def test_build_universal_q2_d1_k2():
 
 def test_build_universal_q1_d1_k3():
     target = build_universal(1, 1, 3)
-    assert target.vertices == ((1, 1), (1, 2), (1, 3))
+    assert listing(target) == ((1, 1), (1, 2), (1, 3))
 
 
 def test_build_universal_d0_forces_k():
     target = build_universal(3, 0, 5)
-    assert target.vertices == ((1, 5, 5, 5), (2, 5, 5, 5), (3, 5, 5, 5))
+    assert listing(target) == ((1, 5, 5, 5), (2, 5, 5, 5), (3, 5, 5, 5))
 
 
 def test_build_universal_caps_d_at_q():
@@ -78,12 +95,6 @@ def test_vertex_count_closed_form_without_materializing():
     assert build_universal(250, 250, 3).vertex_count == closed_form(250, 250, 3)
 
 
-def test_materialization_guard():
-    target = build_universal(30, 3, 5)
-    with pytest.raises(GuardExceeded):
-        _ = target.vertices
-
-
 # d = 0 and d = q among them
 SMALL_SHAPES = [(1, 1, 2), (2, 1, 2), (3, 2, 3), (4, 4, 2), (2, 0, 4)]
 SMALL_SHAPES += [(5, 2, 3), (6, 6, 2), (7, 3, 4), (9, 1, 2), (3, 0, 2)]
@@ -93,18 +104,18 @@ def test_rank_unrank_round_trip_small():
     for q, d, k in SMALL_SHAPES:
         target, dense = build_universal(q, d, k), DenseTupleOrder(q, d, k)
         # the listing order is pinned by the dense walk, not by unrank itself
-        assert target.vertices == tuple(map(dense.unrank, range(target.vertex_count)))
-        for idx, vertex in enumerate(target.vertices):
-            assert target.rank(vertex) == idx
-            assert target.unrank(idx) == vertex
+        vertices = listing(target)
+        assert vertices == tuple(map(dense.unrank, range(target.vertex_count)))
+        for idx, vertex in enumerate(vertices):
+            assert dense_rank(target, vertex) == idx
 
 
 def test_explicit_target_colors_match_the_paper_formula():
     for q, d, k in SMALL_SHAPES:
-        target = build_universal(q, d, k)
+        target, dense = build_universal(q, d, k), DenseTupleOrder(q, d, k)
         if target.vertex_count > Limits().explicit_vertices:
             continue  # (7, 3, 4): 8092 vertices
-        vertices = target.vertices
+        vertices = tuple(map(dense.unrank, range(target.vertex_count)))
         colors = target.to_edge_colored_graph().color
         assert len(colors) == math.comb(len(vertices), 2)
         for (a, b), c in colors.items():
@@ -114,14 +125,14 @@ def test_explicit_target_colors_match_the_paper_formula():
 def test_vertex_listing_is_not_bounded_by_the_recursion_limit():
     target = build_universal(300, 0, 2)
     with recursion_limit(120):
-        vertices = target.vertices
+        vertices = listing(target)
     assert vertices == tuple((lead,) + (2,) * 300 for lead in range(1, 301))
 
 
 def test_rank_unrank_round_trip_large():
     target = build_universal(25, 3, 5)
     for idx in [0, 1, target.vertex_count - 1, 12345, target.vertex_count // 2]:
-        assert target.rank(target.unrank(idx)) == idx
+        assert dense_rank(target, dense_unrank(target, idx)) == idx
 
 
 @pytest.mark.parametrize("q, d, k", [(15000, 3, 3), (64, 3, 3), (40, 3, 3)])
@@ -130,19 +141,12 @@ def test_rank_unrank_match_the_dense_walk(q, d, k):
     rng = random.Random(q)
     ids = [0, target.vertex_count - 1] + [rng.randrange(target.vertex_count) for _ in range(500)]
     for n, idx in enumerate(ids):
-        vertex = target.unrank(idx)
-        assert target.rank(vertex) == idx
+        vertex = dense_unrank(target, idx)
+        assert dense_rank(target, vertex) == idx
         # the dense rank is a bijection, so agreeing with it pins unrank too
         assert dense.rank(vertex) == idx
         if n < 10:  # the dense unrank takes 30 ms at q = 15000
             assert dense.unrank(idx) == vertex
-
-
-def test_rank_rejects_invalid_tuples():
-    target = build_universal(2, 1, 2)
-    for bad in [(3, 2, 2), (1, 1, 1), (1, 2), (1, 0, 2)]:
-        with pytest.raises(ValueError):
-            target.rank(bad)
 
 
 def test_package_exports_are_sorted_unique_and_resolve():
@@ -165,8 +169,8 @@ def test_edge_color_rejects_loops():
 
 
 def test_edge_color_symmetric_and_in_range():
-    target = build_universal(3, 2, 3)
-    for u, v in itertools.combinations(target.vertices, 2):
+    dense = DenseTupleOrder(3, 2, 3)
+    for u, v in itertools.combinations(map(dense.unrank, range(3 * dense.block)), 2):
         c = edge_color(u, v)
         assert c == edge_color(v, u)
         assert 1 <= c <= 3
@@ -180,8 +184,8 @@ def test_build_homomorphism_isolated_vertex_maps_to_all_k():
     target = build_universal(2, 1, 2)
     hom = build_homomorphism(source, oriented, out_col, target)
     # vertex 0 has no parent: every coordinate defaults to k
-    assert target.unrank(hom[0]) == (1, 2, 2)
-    assert target.unrank(hom[1]) == (2, 1, 2)
+    assert dense_unrank(target, hom[0]) == (1, 2, 2)
+    assert dense_unrank(target, hom[1]) == (2, 1, 2)
     assert verify_homomorphism(source, target, hom)
 
 
@@ -193,7 +197,7 @@ def test_build_homomorphism_counts_non_default_coordinates():
     out_col = VertexColoring(3, [1, 2, 3])
     target = build_universal(3, 2, 2)
     hom = build_homomorphism(source, oriented, out_col, target)
-    image = target.unrank(hom[2])
+    image = dense_unrank(target, hom[2])
     assert sum(1 for x in image[1:] if x != 2) == 2
     assert verify_homomorphism(source, target, hom)
 
@@ -260,7 +264,15 @@ def test_verify_homomorphism_rejects_color_mismatch():
 def test_verify_homomorphism_on_a_tuple_target(u, v, color, ok):
     target = build_universal(3, 1, 3)
     source = EdgeColoredGraph(Graph(2, [(0, 1)]), 3, {(0, 1): color})
-    assert verify_homomorphism(source, target, Homomorphism([target.rank(u), target.rank(v)])) is ok
+    assert verify_homomorphism(source, target, Homomorphism([dense_rank(target, u), dense_rank(target, v)])) is ok
+
+
+@pytest.mark.parametrize("image", [-1, 6])
+def test_verify_homomorphism_rejects_an_id_outside_a_tuple_target(image):
+    # the id range is the only check a tuple target puts on a vertex
+    source = EdgeColoredGraph(Graph(2, [(0, 1)]), 2, {(0, 1): 1})
+    with pytest.raises(ValueError, match="outside 0..5"):
+        verify_homomorphism(source, build_universal(2, 1, 2), Homomorphism([0, image]))
 
 
 def test_verify_homomorphism_rejects_a_palette_mismatch():
@@ -400,6 +412,24 @@ def test_check_universal_guard():
         check_universal(tgt, g, 2, Limits(colorings=100))
 
 
+@pytest.mark.parametrize("p, k", [(1, 5), (2, 2), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
+def test_min_target_candidates_are_the_least_word_of_each_class(p, k):
+    # brute force over every word and every vertex and color map
+    pairs = list(itertools.combinations(range(p), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    vertex_maps = [
+        tuple(index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs)
+        for perm in itertools.permutations(range(p))
+    ]
+    color_maps = [(0, *perm) for perm in itertools.permutations(range(1, k + 1))]
+    least = {
+        min(tuple(cmap[word[slot]] for slot in vmap) for vmap in vertex_maps for cmap in color_maps)
+        for word in itertools.product(range(k + 1), repeat=len(pairs))
+    }
+    candidates = [w for w in _restricted_growth(len(pairs), k) if _canonical(w, vertex_maps)]
+    assert candidates == sorted(least)
+
+
 def test_min_universal_single_edge_needs_three_vertices():
     result = min_universal_size([Graph(2, [(0, 1)])], k=2, p_max=3)
     assert result is not None
@@ -458,7 +488,7 @@ def test_header_reconstructs_target_bit_exactly():
     header = target.header()
     rebuilt = build_universal(header["q"], header["d"], header["k"])
     assert rebuilt.vertex_count == target.vertex_count
-    assert rebuilt.vertices == target.vertices
+    assert listing(rebuilt) == listing(target)
 
 
 def test_strict_size_bound_holds_below_the_diagonal():

@@ -59,7 +59,7 @@ RECORDS = {
     Limits: (
         lambda x: Limits(graph_n=4 + x),
         "Limits(exact_coloring_n=20, search_source_n=12, search_target_n=64, colorings=1000000, "
-        "min_target_p=5, explicit_vertices=1000, listed_vertices=1000000, count_table_bytes=33554432, "
+        "min_target_p=5, explicit_vertices=1000, count_table_bytes=33554432, "
         "graph_n=4)",
     ),
 }
