@@ -141,10 +141,7 @@ def exact_star_coloring(graph: Graph, c_max: int, limits: Limits = LIMITS) -> Ve
 
     if c_max < 1 or not rec(0, 0):
         return None
-    result = VertexColoring(max(assign), assign)
-    if not verify_star(graph, result):
-        raise AssertionError("exact star coloring failed its own verifier")
-    return result
+    return VertexColoring(max(assign), assign)
 
 
 def greedy_star_coloring(graph: Graph, seed: int = 0) -> VertexColoring:

@@ -135,9 +135,6 @@ class Graph(Value):
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
-
 
 def smallest_last_order(adjacency) -> list:
     """Vertices in smallest-last removal order (Matula-Beck 1983).
@@ -180,13 +177,12 @@ class EdgeColoredGraph(Value):
             e = (u, v) if u < v else (v, u)
             if e in canon:
                 raise ValueError(f"edge {e[0]} {e[1]} colored twice")
-            canon[e] = c
-        if set(canon) != set(graph.edges):
-            raise ValueError("color map must cover exactly the edge set")
-        for (u, v), c in canon.items():
             if not (1 <= c <= k):
-                raise ValueError(f"color {c} on edge {u} {v} outside 1..{k}")
-        super().__init__(graph, k, {e: canon[e] for e in sorted(canon)})
+                raise ValueError(f"color {c} on edge {e[0]} {e[1]} outside 1..{k}")
+            canon[e] = c
+        if canon.keys() != graph.edges:
+            raise ValueError("color map must cover exactly the edge set")
+        super().__init__(graph, k, {e: canon[e] for e in graph.sorted_edges})
 
     def edge_color(self, u: int, v: int) -> int:
         return self.color[(u, v) if u < v else (v, u)]
@@ -215,9 +211,9 @@ class OrientedGraph(Value):
             if {tail, head} != {e[0], e[1]}:
                 raise ValueError(f"direction ({tail}, {head}) does not match edge {e[0]} {e[1]}")
             canon[e] = (tail, head)
-        if set(canon) != set(graph.edges):
+        if canon.keys() != graph.edges:
             raise ValueError("direction map must cover exactly the edge set")
-        super().__init__(graph, {e: canon[e] for e in sorted(canon)})
+        super().__init__(graph, {e: canon[e] for e in graph.sorted_edges})
 
     # direction is in sorted edge order, so each vertex meets its lower
     # neighbors first and every list below fills in ascending id order

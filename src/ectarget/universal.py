@@ -14,7 +14,7 @@ color rule applies to two sparse vertices, so homomorphism images and edge
 colors never walk all q coordinates. The explicit graph of a small target
 comes from the same _unrank and _color; no dense tuple is ever built.
 
-The module also hosts the search oracles: complete backtracking homomorphism
+The module also hosts the search oracles: fail-first backtracking homomorphism
 search, exhaustive universality checking over all k-edge-colorings of a
 graph, and exhaustive minimum-universal-target search over tiny instances.
 """
@@ -191,15 +191,14 @@ def verify_homomorphism(source: EdgeColoredGraph, target, hom: Homomorphism) -> 
             if ids[u] == ids[v] or color(sparse[u], sparse[v]) != source.edge_color(u, v):
                 return False
         return True
-    tgraph = target.graph
     for i in hom.mapping:
-        if not (0 <= i < tgraph.n):
+        if not (0 <= i < target.graph.n):
             raise ValueError(f"image {i} is not a target vertex id")
+    # a pair that is no target edge, a loop included, has no color
+    tcolor = target.color
     for u, v in graph.edges:
         hu, hv = hom[u], hom[v]
-        if hu == hv or not tgraph.has_edge(hu, hv):
-            return False
-        if target.edge_color(hu, hv) != source.edge_color(u, v):
+        if tcolor.get((hu, hv) if hu < hv else (hv, hu)) != source.edge_color(u, v):
             return False
     return True
 
@@ -213,60 +212,47 @@ def _search_target(target, limits: Limits) -> EdgeColoredGraph:
 
 
 def find_homomorphism(source: EdgeColoredGraph, target, limits: Limits = LIMITS) -> Homomorphism | None:
-    """Complete backtracking search for a homomorphism, or None.
+    """Complete fail-first backtracking search for a homomorphism, or None.
 
-    Source vertices are assigned in descending degree order, candidates in
-    ascending id order, with forward checking against the colored adjacency
-    of already-assigned neighbors. That adjacency is built once per explicit
-    target object and reused by every later search into it; a tuple target
-    is written out anew on each call. Limits bound both graph sizes, and a
-    target with another edge palette than the source is a ValueError.
+    Each unassigned source vertex keeps the set of target ids it can still
+    take, every id at first. The search branches on the vertex with the
+    fewest, ties to the lower id, and tries them in ascending id order. Each
+    choice keeps, for every unassigned neighbor, only the ids joined to the
+    image in the color of the edge between the two, and backs up as soon as
+    a set is empty (forward checking, Haralick and Elliott 1980). The target's
+    colored adjacency is built once per explicit target object and reused by
+    every later search into it; a tuple target is written out anew on each
+    call. Limits bound both graph sizes, and a target with another edge
+    palette than the source is a ValueError.
     """
     if source.k != target.k:
         raise ValueError(f"edge palette mismatch: source k={source.k}, target k={target.k}")
     target = _search_target(target, limits)
     graph = source.graph
-    tgraph = target.graph
     limits.check("search_source_n", graph.n, f"search source of {graph.n} vertices")
     by_color = target.by_color
-    order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+    empty = frozenset()
     assigned = [-1] * graph.n
-    all_targets = frozenset(range(tgraph.n))
 
-    def candidates(v):
-        domain = None
-        for u in graph.neighbors(v):
-            if assigned[u] < 0:
-                continue
-            allowed = by_color[assigned[u]].get(source.edge_color(u, v))
-            if not allowed:
-                return ()
-            domain = allowed if domain is None else domain & allowed
-        return sorted(all_targets if domain is None else domain)
-
-    def viable(v, image):
-        # forward check: every unassigned neighbor keeps at least one option
-        for w in graph.neighbors(v):
-            if assigned[w] >= 0:
-                continue
-            if not by_color[image].get(source.edge_color(v, w)):
-                return False
-        return True
-
-    def rec(pos):
-        if pos == graph.n:
+    def rec(domains):  # owns domains: every caller passes a fresh dict
+        if not domains:
             return True
-        v = order[pos]
-        for image in candidates(v):
-            if not viable(v, image):
-                continue
-            assigned[v] = image
-            if rec(pos + 1):
-                return True
-            assigned[v] = -1
+        _, v = min(zip(map(len, domains.values()), domains))  # fewest, then lowest id
+        for image in sorted(domains.pop(v)):
+            allowed = by_color[image]
+            narrowed = dict(domains)
+            for w in graph.neighbors(v):
+                if w in narrowed:
+                    narrowed[w] &= allowed.get(source.edge_color(v, w), empty)
+                    if not narrowed[w]:
+                        break
+            else:
+                assigned[v] = image
+                if rec(narrowed):
+                    return True
         return False
 
-    if rec(0):
+    if rec(dict.fromkeys(range(graph.n), frozenset(range(target.graph.n)))):
         return Homomorphism(assigned)
     return None
 

@@ -9,7 +9,8 @@ in-colorings of the transpose, tuple-target ids by a walk over every
 coordinate and letter, tuple-target edge colors on dense tuples,
 smallest-last order by a scan of every remaining vertex, star colorings by
 enumerating 4-vertex paths, the greedy and exact star colorings by walking
-three steps out from each vertex for every candidate color.
+three steps out from each vertex for every candidate color, homomorphisms by
+a search over a static degree order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,16 @@ import sys
 from fractions import Fraction
 
 from ectarget.density import Density, OrientationInfeasible, _Dinic
-from ectarget.graphs import EdgeColoredGraph, Graph, OrientedGraph, VertexColoring
+from ectarget.graphs import (
+    LIMITS,
+    EdgeColoredGraph,
+    Graph,
+    Homomorphism,
+    Limits,
+    OrientedGraph,
+    VertexColoring,
+)
+from ectarget.universal import _search_target
 
 
 @contextlib.contextmanager
@@ -541,3 +551,60 @@ def star_ok_by_components(graph: Graph, coloring: VertexColoring) -> bool:
             if sum(1 for v in component if len(adj[v]) >= 2) > 1:
                 return False
     return True
+
+
+def static_order_homomorphism(source: EdgeColoredGraph, target, limits: Limits = LIMITS) -> Homomorphism | None:
+    """Complete backtracking search for a homomorphism, or None.
+
+    Source vertices are assigned in descending degree order, candidates in
+    ascending id order, with forward checking against the colored adjacency
+    of already-assigned neighbors: the reference for the library's fail-first
+    find_homomorphism, which agrees on whether a homomorphism exists.
+    """
+    if source.k != target.k:
+        raise ValueError(f"edge palette mismatch: source k={source.k}, target k={target.k}")
+    target = _search_target(target, limits)
+    graph = source.graph
+    tgraph = target.graph
+    limits.check("search_source_n", graph.n, f"search source of {graph.n} vertices")
+    by_color = target.by_color
+    order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+    assigned = [-1] * graph.n
+    all_targets = frozenset(range(tgraph.n))
+
+    def candidates(v):
+        domain = None
+        for u in graph.neighbors(v):
+            if assigned[u] < 0:
+                continue
+            allowed = by_color[assigned[u]].get(source.edge_color(u, v))
+            if not allowed:
+                return ()
+            domain = allowed if domain is None else domain & allowed
+        return sorted(all_targets if domain is None else domain)
+
+    def viable(v, image):
+        # forward check: every unassigned neighbor keeps at least one option
+        for w in graph.neighbors(v):
+            if assigned[w] >= 0:
+                continue
+            if not by_color[image].get(source.edge_color(v, w)):
+                return False
+        return True
+
+    def rec(pos):
+        if pos == graph.n:
+            return True
+        v = order[pos]
+        for image in candidates(v):
+            if not viable(v, image):
+                continue
+            assigned[v] = image
+            if rec(pos + 1):
+                return True
+            assigned[v] = -1
+        return False
+
+    if rec(0):
+        return Homomorphism(assigned)
+    return None

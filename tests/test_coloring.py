@@ -85,6 +85,7 @@ def test_exact_star_matches_three_step_reference(block):
         for c_max in range(9):
             result = exact_star_coloring(g, c_max)
             assert result == three_step_exact_star(g, c_max), (seed, c_max)
+            assert result is None or paths_verify_star(g, result), (seed, c_max)
             outcomes.add(result is None)
     assert outcomes == {True, False}
 
@@ -94,7 +95,9 @@ def test_exact_star_matches_three_step_reference_at_twenty_vertices(seed):
     rng = random.Random(seed)
     g = random_graph(20, rng.uniform(0.1, 0.3), rng)
     for c_max in range(3, 9):
-        assert exact_star_coloring(g, c_max) == three_step_exact_star(g, c_max)
+        result = exact_star_coloring(g, c_max)
+        assert result == three_step_exact_star(g, c_max)
+        assert result is None or paths_verify_star(g, result)
 
 
 def test_exact_searches_are_guarded():

@@ -116,6 +116,13 @@ def test_edge_colored_graph_validation():
         EdgeColoredGraph(g, 2, {(0, 1): 1})
     with pytest.raises(ValueError, match="outside"):
         EdgeColoredGraph(g, 2, {(0, 1): 1, (1, 2): 3})
+    with pytest.raises(ValueError, match=r"^color 3 on edge 1 2 outside 1\.\.2$"):
+        EdgeColoredGraph(g, 2, [((2, 1), 3), ((1, 0), 1)])
+    with pytest.raises(ValueError, match=r"^edge 0 1 colored twice$"):
+        EdgeColoredGraph(g, 2, [((0, 1), 1), ((1, 0), 1)])
+    # any pairs dict() accepts, stored in sorted edge order
+    colored = EdgeColoredGraph(g, 2, [((2, 1), 2), ((1, 0), 1)])
+    assert list(colored.color.items()) == [((0, 1), 1), ((1, 2), 2)]
 
 
 def test_colored_adjacency_groups_neighbors_by_edge_color():

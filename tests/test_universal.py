@@ -2,12 +2,14 @@ import contextlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ectarget
-from conftest import edge_colored_graphs
+from conftest import edge_colored_graphs, graphs
 from ectarget.coloring import greedy_star_coloring
 from ectarget.density import min_orientation
 from ectarget.graphs import (
@@ -40,6 +42,7 @@ from helpers import (
     path,
     random_coloring,
     recursion_limit,
+    static_order_homomorphism,
 )
 
 
@@ -330,6 +333,46 @@ def test_found_homomorphisms_always_verify(source):
     hom = find_homomorphism(source, target)
     if hom is not None:
         assert verify_homomorphism(source, target, hom)
+
+
+@st.composite
+def search_instances(draw):
+    """A source of up to 7 vertices and a target with its palette: an
+    explicit graph of up to 6 vertices, or a tuple target of at most 57."""
+    source = draw(edge_colored_graphs(max_n=7, max_k=3))
+    k = source.k
+    if draw(st.booleans()):
+        return source, build_universal(draw(st.integers(1, 3)), draw(st.integers(0, 2)), k)
+    graph = draw(graphs(max_n=6))
+    color = {e: draw(st.integers(1, k)) for e in graph.sorted_edges}
+    return source, EdgeColoredGraph(graph, k, color)
+
+
+@given(search_instances())
+@settings(max_examples=200, deadline=None)
+def test_find_homomorphism_agrees_with_the_static_order_search(instance):
+    source, target = instance
+    hom = find_homomorphism(source, target)
+    assert (hom is None) == (static_order_homomorphism(source, target) is None)
+    if hom is not None:
+        assert verify_homomorphism(source, target, hom)
+
+
+def test_find_homomorphism_is_fast_on_a_hostile_source():
+    # 12 vertices and 19 edges into the 44-vertex target pass every limit;
+    # static_order_homomorphism takes over 10 s on this source
+    r = random.Random(1)
+    edges = set()
+    while len(edges) < 19:
+        edges.add(tuple(sorted(r.sample(range(12), 2))))
+    graph = Graph(12, edges)
+    colors = random.Random(2)
+    source = EdgeColoredGraph(graph, 2, {e: colors.randint(1, 2) for e in graph.sorted_edges})
+    target = build_universal(4, 2, 2)
+    start = time.perf_counter()
+    hom = find_homomorphism(source, target)
+    assert time.perf_counter() - start < 1
+    assert hom is not None and verify_homomorphism(source, target, hom)
 
 
 @contextlib.contextmanager
