@@ -203,56 +203,63 @@ def verify_homomorphism(source: EdgeColoredGraph, target, hom: Homomorphism) -> 
     return True
 
 
-def _search_target(target, limits: Limits) -> EdgeColoredGraph:
-    """The target as an explicit graph, once its size passes the search limit."""
+def _search_target(target, source_n: int, limits: Limits) -> EdgeColoredGraph:
+    """The target as an explicit graph, once both graph sizes pass the search limits."""
     tuples = isinstance(target, UniversalTarget)
     n = target.vertex_count if tuples else target.graph.n
     limits.check("search_target_n", n, f"search target of {n} vertices")
+    limits.check("search_source_n", source_n, f"search source of {source_n} vertices")
     return target.to_edge_colored_graph() if tuples else target
 
 
-def find_homomorphism(source: EdgeColoredGraph, target, limits: Limits = LIMITS) -> Homomorphism | None:
-    """Complete fail-first backtracking search for a homomorphism, or None.
+_EMPTY = frozenset()
 
-    Each unassigned source vertex keeps the set of target ids it can still
-    take, every id at first. The search branches on the vertex with the
-    fewest, ties to the lower id, and tries them in ascending id order. Each
-    choice keeps, for every unassigned neighbor, only the ids joined to the
-    image in the color of the edge between the two, and backs up as soon as
-    a set is empty (forward checking, Haralick and Elliott 1980). The target's
-    colored adjacency is built once per explicit target object and reused by
-    every later search into it; a tuple target is written out anew on each
-    call. Limits bound both graph sizes, and a target with another edge
+
+def _edge_slots(graph: Graph) -> list:
+    """For each vertex, its (neighbor, index in graph.sorted_edges) pairs."""
+    index = {e: i for i, e in enumerate(graph.sorted_edges)}
+    return [[(w, index[min(v, w), max(v, w)]) for w in graph.neighbors(v)] for v in range(graph.n)]
+
+
+def _extend(slots, colors, by_color, domains, assigned) -> bool:
+    """Fail-first search: True iff each vertex of domains (owned) can take an
+    id from its set, written to assigned, with edge slot i colored colors[i].
+    It branches on the vertex with the fewest ids (ties to the lower vertex)
+    in ascending id order, and each choice narrows every neighbor still in
+    domains, backing up when a set is empty (Haralick and Elliott 1980)."""
+    if not domains:
+        return True
+    _, v = min(zip(map(len, domains.values()), domains))
+    for image in sorted(domains.pop(v)):
+        allowed = by_color[image]
+        narrowed = dict(domains)
+        for w, slot in slots[v]:
+            if w in narrowed:
+                narrowed[w] &= allowed.get(colors[slot], _EMPTY)
+                if not narrowed[w]:
+                    break
+        else:
+            assigned[v] = image
+            if _extend(slots, colors, by_color, narrowed, assigned):
+                return True
+    return False
+
+
+def find_homomorphism(source: EdgeColoredGraph, target, limits: Limits = LIMITS) -> Homomorphism | None:
+    """Complete fail-first backtracking search (_extend) for a homomorphism,
+    or None. An explicit target's colored adjacency is built once and reused
+    by every later search into it; a tuple target is written out anew on
+    each call. Limits bound both graph sizes, and a target with another edge
     palette than the source is a ValueError.
     """
     if source.k != target.k:
         raise ValueError(f"edge palette mismatch: source k={source.k}, target k={target.k}")
-    target = _search_target(target, limits)
     graph = source.graph
-    limits.check("search_source_n", graph.n, f"search source of {graph.n} vertices")
-    by_color = target.by_color
-    empty = frozenset()
+    target = _search_target(target, graph.n, limits)
+    colors = [source.color[e] for e in graph.sorted_edges]
     assigned = [-1] * graph.n
-
-    def rec(domains):  # owns domains: every caller passes a fresh dict
-        if not domains:
-            return True
-        _, v = min(zip(map(len, domains.values()), domains))  # fewest, then lowest id
-        for image in sorted(domains.pop(v)):
-            allowed = by_color[image]
-            narrowed = dict(domains)
-            for w in graph.neighbors(v):
-                if w in narrowed:
-                    narrowed[w] &= allowed.get(source.edge_color(v, w), empty)
-                    if not narrowed[w]:
-                        break
-            else:
-                assigned[v] = image
-                if rec(narrowed):
-                    return True
-        return False
-
-    if rec(dict.fromkeys(range(graph.n), frozenset(range(target.graph.n)))):
+    everything = frozenset(range(target.graph.n))
+    if _extend(_edge_slots(graph), colors, target.by_color, dict.fromkeys(range(graph.n), everything), assigned):
         return Homomorphism(assigned)
     return None
 
@@ -266,20 +273,45 @@ def check_universal(
     """First k-edge-coloring of the graph with no homomorphism, or None.
 
     Colorings are enumerated lexicographically over the sorted edge list, so
-    a returned counterexample is the lexicographically least one. A k other
-    than the target's edge palette is a ValueError.
+    a returned counterexample is the lexicographically least one. Each first
+    repairs the last one's homomorphism, searching only the endpoints of the
+    recolored edges, then searches from scratch. A k other than the target's
+    edge palette is a ValueError.
     """
     if k != target.k:
         raise ValueError(f"edge palette mismatch: k={k}, target k={target.k}")
     m = graph.m
     # k >= 2, so k^m is above the limit exactly when this capped power is
     limits.check("colorings", k ** min(m, limits.colorings.bit_length()), f"enumerating {k}^{m} colorings")
-    target = _search_target(target, limits)
+    target = _search_target(target, graph.n, limits)
     edges = graph.sorted_edges
-    for combo in itertools.product(range(1, k + 1), repeat=m):
-        colored = EdgeColoredGraph(graph, k, dict(zip(edges, combo)))
-        if find_homomorphism(colored, target, limits) is None:
-            return colored
+    slots = _edge_slots(graph)
+    by_color = target.by_color
+    everything = frozenset(range(target.graph.n))
+    # frees[j]: each endpoint of edges[j:] with its slots to the other vertices
+    frees = []
+    for j in range(m + 1):
+        free = set().union(*edges[j:])
+        frees.append([(v, [(w, i) for w, i in slots[v] if w not in free]) for v in free])
+    assigned = [0] * graph.n  # any image serves a vertex that no edge touches
+
+    def search(j, colors):  # the endpoints of edges[j:] anew, every other vertex kept
+        domains = {}
+        for v, fixed in frees[j]:
+            domain = everything
+            for w, i in fixed:
+                domain = domain & by_color[assigned[w]].get(colors[i], _EMPTY)
+            domains[v] = domain
+        return _extend(slots, colors, by_color, domains, assigned)
+
+    for colors in itertools.product(range(1, k + 1), repeat=m):
+        # this coloring recolors edges[j:] of the last one (all at first;
+        # j = -1 only when m = 0, and frees[-1] = frees[m] is empty)
+        j = m - 1
+        while j > 0 and colors[j] == 1:
+            j -= 1
+        if not (search(j, colors) or j and search(0, colors)):
+            return EdgeColoredGraph(graph, k, dict(zip(edges, colors)))
     return None
 
 
@@ -294,15 +326,17 @@ def _restricted_growth(length: int, k: int):
             yield head + (x,)
 
 
-def _canonical(assign, vertex_maps) -> bool:
+def _canonical(assign, vertex_maps: list) -> bool:
     """True iff no vertex map, its colors then relabeled in order of first
-    appearance (its least color map), makes assign lexicographically smaller."""
-    for vmap in vertex_maps:
+    appearance (its least color map), makes assign lexicographically smaller.
+    A map that refutes assign moves to the front; the order never changes the answer."""
+    for i, vmap in enumerate(vertex_maps):
         relabel = {0: 0}
         for j, slot in enumerate(vmap):
             x = relabel.setdefault(assign[slot], len(relabel))
             if x != assign[j]:
                 if x < assign[j]:
+                    vertex_maps.insert(0, vertex_maps.pop(i))
                     return False
                 break
     return True
@@ -320,7 +354,9 @@ def min_universal_size(
     representative per vertex/color symmetry class) until one admits all
     k-edge-colorings of every listed graph, and returns (p, target). Returns
     None when no target with at most p_max vertices works. Tiny instances
-    only; p_max above limits.min_target_p is refused.
+    only; p_max above limits.min_target_p is refused. Each graph keeps the
+    counterexamples its full checks returned, newest first, and a candidate
+    meets them before the graph's next full check.
     """
     if k < 2:
         raise ValueError(f"edge palette must satisfy k >= 2, got {k}")
@@ -330,6 +366,7 @@ def min_universal_size(
     graphs = list(graphs)
     if not graphs:
         raise ValueError("need at least one graph to search against")
+    refuted = [[] for _ in graphs]
     for p in range(1, p_max + 1):
         pairs = list(itertools.combinations(range(p), 2))
         pair_index = {pair: i for i, pair in enumerate(pairs)}
@@ -343,6 +380,13 @@ def min_universal_size(
                 continue
             edges = {pairs[i]: c for i, c in enumerate(assign) if c}
             candidate = EdgeColoredGraph(Graph(p, edges.keys()), k, edges)
-            if all(check_universal(candidate, g, k, limits) is None for g in graphs):
+            for g, seen in zip(graphs, refuted):
+                if any(find_homomorphism(c, candidate, limits) is None for c in seen):
+                    break
+                counterexample = check_universal(candidate, g, k, limits)
+                if counterexample is not None:
+                    seen.insert(0, counterexample)
+                    break
+            else:
                 return p, candidate
     return None

@@ -10,7 +10,9 @@ coordinate and letter, tuple-target edge colors on dense tuples,
 smallest-last order by a scan of every remaining vertex, star colorings by
 enumerating 4-vertex paths, the greedy and exact star colorings by walking
 three steps out from each vertex for every candidate color, homomorphisms by
-a search over a static degree order.
+a search over a static degree order, universality by searching every
+coloring from scratch, and minimum targets by checking every candidate in
+full against every graph.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from ectarget.graphs import (
     OrientedGraph,
     VertexColoring,
 )
-from ectarget.universal import _search_target
+from ectarget.universal import _canonical, _restricted_growth, _search_target
 
 
 @contextlib.contextmanager
@@ -563,10 +565,9 @@ def static_order_homomorphism(source: EdgeColoredGraph, target, limits: Limits =
     """
     if source.k != target.k:
         raise ValueError(f"edge palette mismatch: source k={source.k}, target k={target.k}")
-    target = _search_target(target, limits)
     graph = source.graph
+    target = _search_target(target, graph.n, limits)
     tgraph = target.graph
-    limits.check("search_source_n", graph.n, f"search source of {graph.n} vertices")
     by_color = target.by_color
     order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
     assigned = [-1] * graph.n
@@ -607,4 +608,42 @@ def static_order_homomorphism(source: EdgeColoredGraph, target, limits: Limits =
 
     if rec(0):
         return Homomorphism(assigned)
+    return None
+
+
+def memoryless_check_universal(target, graph: Graph, k: int, limits: Limits = LIMITS) -> EdgeColoredGraph | None:
+    """First k-edge-coloring of the graph, in lexicographic order over the
+    sorted edges, that static_order_homomorphism maps nowhere, or None: the
+    reference for check_universal, which repairs the last homomorphism."""
+    if k != target.k:
+        raise ValueError(f"edge palette mismatch: k={k}, target k={target.k}")
+    m = graph.m
+    limits.check("colorings", k ** min(m, limits.colorings.bit_length()), f"enumerating {k}^{m} colorings")
+    for combo in itertools.product(range(1, k + 1), repeat=m):
+        colored = EdgeColoredGraph(graph, k, dict(zip(graph.sorted_edges, combo)))
+        if static_order_homomorphism(colored, target, limits) is None:
+            return colored
+    return None
+
+
+def memoryless_min_universal_size(graphs, k: int = 2, p_max: int = 3, limits: Limits = LIMITS):
+    """min_universal_size without its counterexample memory: every candidate
+    (canonical against the vertex maps in their first order) is checked in
+    full, with memoryless_check_universal, against each graph in turn."""
+    limits.check("min_target_p", p_max, f"target search up to p={p_max}")
+    graphs = list(graphs)
+    for p in range(1, p_max + 1):
+        pairs = list(itertools.combinations(range(p), 2))
+        pair_index = {pair: i for i, pair in enumerate(pairs)}
+        vertex_maps = [
+            tuple(pair_index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs)
+            for perm in itertools.permutations(range(p))
+        ]
+        for assign in _restricted_growth(len(pairs), k):
+            if not _canonical(assign, list(vertex_maps)):
+                continue
+            edges = {pairs[i]: c for i, c in enumerate(assign) if c}
+            candidate = EdgeColoredGraph(Graph(p, edges.keys()), k, edges)
+            if all(memoryless_check_universal(candidate, g, k, limits) is None for g in graphs):
+                return p, candidate
     return None

@@ -21,7 +21,7 @@ from ectarget.graphs import (
     OrientedGraph,
     VertexColoring,
 )
-from ectarget.out_coloring import build_out_coloring
+from ectarget.out_coloring import build_out_coloring, out_coloring_from_universal
 from ectarget.universal import (
     _canonical,
     _restricted_growth,
@@ -35,13 +35,18 @@ from ectarget.universal import (
 from helpers import (
     DenseTupleOrder,
     clique,
+    cycle,
     dense_rank,
     dense_unrank,
     edge_color,
     grid,
+    memoryless_check_universal,
+    memoryless_min_universal_size,
     path,
     random_coloring,
+    random_graph,
     recursion_limit,
+    stacked_triangulation,
     static_order_homomorphism,
 )
 
@@ -361,18 +366,62 @@ def test_find_homomorphism_agrees_with_the_static_order_search(instance):
 def test_find_homomorphism_is_fast_on_a_hostile_source():
     # 12 vertices and 19 edges into the 44-vertex target pass every limit;
     # static_order_homomorphism takes over 10 s on this source
-    r = random.Random(1)
-    edges = set()
-    while len(edges) < 19:
-        edges.add(tuple(sorted(r.sample(range(12), 2))))
-    graph = Graph(12, edges)
-    colors = random.Random(2)
-    source = EdgeColoredGraph(graph, 2, {e: colors.randint(1, 2) for e in graph.sorted_edges})
+    source = random_coloring(hostile_graph(), 2, random.Random(2))
     target = build_universal(4, 2, 2)
     start = time.perf_counter()
     hom = find_homomorphism(source, target)
     assert time.perf_counter() - start < 1
     assert hom is not None and verify_homomorphism(source, target, hom)
+
+
+def hostile_graph() -> Graph:
+    """12 vertices and 19 edges: every limit passes against the 44-vertex
+    (4, 2, 2) target."""
+    r = random.Random(1)
+    edges = set()
+    while len(edges) < 19:
+        edges.add(tuple(sorted(r.sample(range(12), 2))))
+    return Graph(12, edges)
+
+
+@pytest.mark.parametrize(
+    "source, target, mapping",
+    [
+        (
+            EdgeColoredGraph(clique(3), 2, {(0, 1): 1, (0, 2): 1, (1, 2): 2}),
+            build_universal(2, 1, 2),
+            (0, 1, 2),
+        ),
+        (random_coloring(grid(2, 4), 2, random.Random(5)), build_universal(4, 2, 2), (0, 26, 1, 0, 27, 33, 22, 24)),
+        (
+            random_coloring(stacked_triangulation(7, 1), 3, random.Random(7)),
+            build_universal(3, 2, 3),
+            (1, 26, 19, 45, 23, 48, 2),
+        ),
+        (
+            random_coloring(hostile_graph(), 2, random.Random(2)),
+            build_universal(4, 2, 2),
+            (0, 1, 1, 15, 40, 1, 5, 3, 1, 26, 40, 15),
+        ),
+    ],
+)
+def test_find_homomorphism_returns_the_pinned_mapping(source, target, mapping):
+    # the fail-first search is deterministic: these are its first homomorphisms
+    assert find_homomorphism(source, target).mapping == mapping
+
+
+@pytest.mark.parametrize(
+    "n, assign",
+    [
+        (6, (1, 2, 6, 3, 5, 4)),
+        (9, (1, 5, 9, 3, 7, 6, 8, 2, 4)),
+        (12, (1, 5, 11, 4, 6, 7, 10, 2, 9, 3, 8, 12)),
+    ],
+)
+def test_out_coloring_from_universal_keeps_its_pinned_colorings(n, assign):
+    _, oriented = min_orientation(stacked_triangulation(n, seed=1))
+    target = build_universal(4, oriented.max_in_degree, 2).to_edge_colored_graph()
+    assert out_coloring_from_universal(oriented, target, 2).coloring.assign == assign
 
 
 @contextlib.contextmanager
@@ -448,6 +497,58 @@ def test_check_universal_full_pipeline_target():
     assert check_universal(target, g, 2) is None
 
 
+def check_pairs(count: int, seed: int):
+    """Seeded (target, graph, k): k in {2, 3}, a source of up to 6 vertices
+    with at most 3^6 colorings, and an explicit target of up to 6 vertices or
+    a tuple target of at most 57."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.choice((2, 3))
+        graph = random_graph(rng.randint(1, 6), rng.uniform(0.2, 0.8), rng)
+        while k**graph.m > 729:
+            graph = random_graph(graph.n, 0.4, rng)
+        if rng.random() < 0.5:
+            target = build_universal(rng.randint(1, 3), rng.randint(0, 2), k)
+        else:
+            target = random_coloring(random_graph(rng.randint(1, 6), rng.uniform(0.4, 1), rng), k, rng)
+        yield target, graph, k
+
+
+def test_check_universal_agrees_with_the_memoryless_reference():
+    outcomes = set()
+    for target, graph, k in check_pairs(150, seed=18):
+        counterexample = check_universal(target, graph, k)
+        assert counterexample == memoryless_check_universal(target, graph, k)
+        outcomes.add(counterexample is None)
+    assert outcomes == {True, False}
+
+
+@contextlib.contextmanager
+def counting_colored_graphs():
+    """Yield the list of EdgeColoredGraph objects built meanwhile."""
+    built = []
+    init = EdgeColoredGraph.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EdgeColoredGraph, "__init__", counted)
+        yield built
+
+
+def test_check_universal_builds_only_the_counterexample():
+    target = build_universal(2, 1, 2).to_edge_colored_graph()
+    with counting_colored_graphs() as built:
+        assert check_universal(target, cycle(6), 2) is None
+    assert built == []
+    with counting_colored_graphs() as built:
+        counterexample = check_universal(target, grid(2, 3), 2)
+    assert counterexample is not None
+    assert len(built) == 1 and built[0] is counterexample
+
+
 def test_check_universal_guard():
     g = clique(5)
     tgt = EdgeColoredGraph(Graph(2, [(0, 1)]), 2, {(0, 1): 1})
@@ -471,6 +572,64 @@ def test_min_target_candidates_are_the_least_word_of_each_class(p, k):
     }
     candidates = [w for w in _restricted_growth(len(pairs), k) if _canonical(w, vertex_maps)]
     assert candidates == sorted(least)
+
+
+@pytest.mark.parametrize("p, k", [(3, 3), (4, 2), (4, 3)])
+def test_canonical_ignores_the_order_of_the_vertex_maps(p, k):
+    pairs = list(itertools.combinations(range(p), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    vertex_maps = [
+        tuple(index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs)
+        for perm in itertools.permutations(range(p))
+    ]
+    words = list(_restricted_growth(len(pairs), k))
+    decisions = [_canonical(w, list(vertex_maps)) for w in words]
+    rng = random.Random(p * 10 + k)
+    shuffled = [rng.sample(vertex_maps, len(vertex_maps)) for _ in range(3)]
+    for maps in shuffled:
+        assert [_canonical(w, maps) for w in words] == decisions
+        assert sorted(maps) == sorted(vertex_maps)
+
+
+def min_target_lists(count: int, seed: int):
+    """Seeded (graphs, k, p_max): one to three graphs of up to 4 vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.choice((2, 3))
+        graphs = [random_graph(rng.randint(1, 4), rng.uniform(0.2, 0.9), rng) for _ in range(rng.randint(1, 3))]
+        yield graphs, k, rng.randint(1, 4 if k == 2 else 3)
+
+
+def test_min_universal_size_agrees_with_the_memoryless_reference():
+    sizes = set()
+    for graphs, k, p_max in min_target_lists(60, seed=18):
+        result = min_universal_size(graphs, k, p_max)
+        assert result == memoryless_min_universal_size(graphs, k, p_max)
+        sizes.add(None if result is None else result[0])
+    assert sizes == {None, 1, 3, 4}
+
+
+@pytest.mark.parametrize(
+    "second, limits, name",
+    [(path(13), Limits(), "search_source_n"), (path(6), Limits(colorings=16), "colorings")],
+)
+def test_min_universal_size_meets_a_guard_where_the_reference_does(second, limits, name):
+    # the single edge is first admitted at p = 3, and only then is the second graph checked
+    graphs = [Graph(2, [(0, 1)]), second]
+    messages = []
+    for search in (min_universal_size, memoryless_min_universal_size):
+        with pytest.raises(GuardExceeded, match=name) as raised:
+            search(graphs, 2, 3, limits)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+
+
+def test_min_universal_size_never_reaches_a_graph_after_one_no_candidate_admits():
+    # no target on 3 vertices admits every coloring of the triangle, so the
+    # 13-vertex path, over the search limit, is never checked
+    graphs = [clique(3), path(13)]
+    assert min_universal_size(graphs, 2, 3) is None
+    assert memoryless_min_universal_size(graphs, 2, 3) is None
 
 
 def test_min_universal_single_edge_needs_three_vertices():
