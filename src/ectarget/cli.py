@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 verified negative (infeasible, not found, or
 counterexample), 2 usage or input error, 3 size guard exceeded. Commands
 that emit a constructed object always run the matching verifier first.
+Each ``_cmd_*`` handler returns (exit code, report, output text or None);
+``main`` alone writes the ``--output`` file, on exit 0 and before the
+report, then prints the report, so stdout is empty on exit 2 or 3.
 Identical inputs and seed produce byte-identical output. The environment
 variable ECTARGET_GUARD_OVERRIDE raises each of the eight size limits of
 ``Limits`` that is below the given integer to it (searches can then be very
@@ -69,26 +72,6 @@ def _sized(parsed):
     return parsed
 
 
-def _emit(args, payload: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for key in sorted(payload):
-            value = payload[key]
-            if isinstance(value, list):
-                print(f"{key}:")
-                for item in value:
-                    print(f"  {item}")
-            else:
-                print(f"{key}: {value}")
-
-
-def _write_output(args, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
 def _target_header(text: str):
     """(q, d, k) of a compact target header, or None for an explicit target."""
     if not text.lstrip().startswith("{"):
@@ -111,13 +94,12 @@ def _load_target(path: str, limits: Limits):
     return _sized(parse_edge_colored(text)) if header is None else build_universal(*header, limits)
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args):
     dens = densest_subgraph(_sized(parse_graph(_read(args.graph))))
-    _emit(args, {"density": str(dens.value), "witness": list(dens.witness)})
-    return 0
+    return 0, {"density": str(dens.value), "witness": list(dens.witness)}, None
 
 
-def _cmd_orient(args) -> int:
+def _cmd_orient(args):
     graph = _sized(parse_graph(_read(args.graph)))
     if args.d is None:
         d, oriented = min_orientation(graph)
@@ -126,88 +108,72 @@ def _cmd_orient(args) -> int:
         try:
             oriented = find_orientation(graph, d)
         except OrientationInfeasible as exc:
-            _emit(args, {"feasible": False, "d": d, "witness": list(exc.witness)})
-            return 1
+            return 1, {"feasible": False, "d": d, "witness": list(exc.witness)}, None
+    if oriented.max_in_degree > d:
+        raise AssertionError("refusing to print an orientation with in-degree above d")
     text = serialize_oriented(oriented)
-    _emit(
-        args,
-        {
-            "feasible": True,
-            "d": d,
-            "max_in_degree": oriented.max_in_degree,
-            "orientation": text.splitlines(),
-        },
-    )
-    _write_output(args, text)
-    return 0
+    report = {
+        "feasible": True,
+        "d": d,
+        "max_in_degree": oriented.max_in_degree,
+        "orientation": text.splitlines(),
+    }
+    return 0, report, text
 
 
-def _cmd_star_color(args) -> int:
+def _cmd_star_color(args):
     graph = _sized(parse_graph(_read(args.graph)))
     if args.exact is not None:
         coloring = exact_star_coloring(graph, args.exact, _limits())
         if coloring is None:
-            _emit(args, {"found": False, "c_max": args.exact})
-            return 1
+            return 1, {"found": False, "c_max": args.exact}, None
     else:
         coloring = greedy_star_coloring(graph, seed=args.seed)
     if not verify_star(graph, coloring):
         raise AssertionError("refusing to print an unverified coloring")
-    _emit(
-        args,
-        {
-            "palette": coloring.palette,
-            "coloring": [[v, c] for v, c in enumerate(coloring.assign)],
-            "verified": True,
-        },
-    )
-    _write_output(args, serialize_coloring(coloring))
-    return 0
+    report = {
+        "palette": coloring.palette,
+        "coloring": [[v, c] for v, c in enumerate(coloring.assign)],
+        "verified": True,
+    }
+    return 0, report, serialize_coloring(coloring)
 
 
-def _cmd_out_color(args) -> int:
+def _cmd_out_color(args):
     graph = _sized(parse_graph(_read(args.graph)))
     oriented = _sized(parse_oriented(_read(args.orientation)))
     if oriented.graph != graph:
         raise ValueError("orientation file does not match the graph file")
     star = greedy_star_coloring(graph, seed=args.seed)
     certificate = build_out_coloring(oriented, star)
-    _emit(
-        args,
-        {
-            "palette": certificate.coloring.palette,
-            "budget": certificate.budget,
-            "rule_counts": certificate.rule_counts,
-            "star_palette": star.palette,
-            "max_in_degree": oriented.max_in_degree,
-            "coloring": [[v, c] for v, c in enumerate(certificate.coloring.assign)],
-            "verified": True,
-        },
-    )
-    _write_output(args, serialize_certificate(certificate))
-    return 0
+    report = {
+        "palette": certificate.coloring.palette,
+        "budget": certificate.budget,
+        "rule_counts": certificate.rule_counts,
+        "star_palette": star.palette,
+        "max_in_degree": oriented.max_in_degree,
+        "coloring": [[v, c] for v, c in enumerate(certificate.coloring.assign)],
+        "verified": True,
+    }
+    return 0, report, serialize_certificate(certificate)
 
 
-def _cmd_build_target(args) -> int:
+def _cmd_build_target(args):
     target = build_universal(args.q, args.d, args.k, _limits())
-    payload = {
+    report = {
         "q": target.q,
         "d": target.d,
         "k": target.k,
         "vertex_count": target.vertex_count,
     }
-    if args.explicit:
-        explicit = target.to_edge_colored_graph()
-        text = serialize(explicit)
-        payload["target"] = text.splitlines()
-        _write_output(args, text)
-    else:
-        _write_output(args, json.dumps(target.header(), sort_keys=True) + "\n")
-    _emit(args, payload)
-    return 0
+    if not args.explicit:
+        return 0, report, json.dumps(target.header(), sort_keys=True) + "\n"
+    text = serialize(target.to_edge_colored_graph())
+    report["target"] = text.splitlines()
+    return 0, report, text
 
 
-def _cmd_map(args) -> int:
+def _cmd_map(args):
     source = _sized(parse_edge_colored(_read(args.source)))
     if args.k is not None and args.k != source.k:
         raise ValueError(f"--k {args.k} does not match the file palette k={source.k}")
@@ -225,8 +191,8 @@ def _cmd_map(args) -> int:
         try:
             oriented = find_orientation(graph, d)
         except OrientationInfeasible as exc:
-            _emit(args, {"verified": False, "reason": "orientation infeasible", "witness": list(exc.witness)})
-            return 1
+            report = {"verified": False, "reason": "orientation infeasible", "witness": list(exc.witness)}
+            return 1, report, None
     else:
         _, oriented = min_orientation(graph)
     star = greedy_star_coloring(graph, seed=args.seed)
@@ -235,83 +201,71 @@ def _cmd_map(args) -> int:
     if not args.target:
         target = build_universal(palette, oriented.max_in_degree, k, _limits())
     elif palette > q:
-        _emit(args, {"verified": False, "reason": f"out-coloring needs {palette} colors, target allows q={q}"})
-        return 1
+        reason = f"out-coloring needs {palette} colors, target allows q={q}"
+        return 1, {"verified": False, "reason": reason}, None
     hom = build_homomorphism(source, oriented, certificate.coloring, target)
     if not verify_homomorphism(source, target, hom):
         raise AssertionError("refusing to print an unverified homomorphism")
-    _emit(
-        args,
-        {
-            "n": graph.n,
-            "m": graph.m,
-            "k": k,
-            "max_in_degree": oriented.max_in_degree,
-            "star_palette": star.palette,
-            "out_palette": certificate.coloring.palette,
-            "out_budget": certificate.budget,
-            "rule_counts": certificate.rule_counts,
-            "target": {**target.header(), "vertex_count": target.vertex_count},
-            "homomorphism": list(hom.mapping),
-            "verified": True,
-        },
-    )
-    _write_output(args, serialize_homomorphism(hom))
-    return 0
+    report = {
+        "n": graph.n,
+        "m": graph.m,
+        "k": k,
+        "max_in_degree": oriented.max_in_degree,
+        "star_palette": star.palette,
+        "out_palette": certificate.coloring.palette,
+        "out_budget": certificate.budget,
+        "rule_counts": certificate.rule_counts,
+        "target": {**target.header(), "vertex_count": target.vertex_count},
+        "homomorphism": list(hom.mapping),
+        "verified": True,
+    }
+    return 0, report, serialize_homomorphism(hom)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     source = _sized(parse_edge_colored(_read(args.source)))
     target = _load_target(args.target, _limits())
     hom = parse_homomorphism(_read(args.homomorphism))
     ok = verify_homomorphism(source, target, hom)
-    _emit(args, {"verified": ok})
-    return 0 if ok else 1
+    return (0 if ok else 1), {"verified": ok}, None
 
 
-def _cmd_check_universal(args) -> int:
+def _cmd_check_universal(args):
     limits = _limits()
     target = _load_target(args.target, limits)
     graph = _sized(parse_graph(_read(args.graph)))
     counterexample = check_universal(target, graph, args.k, limits)
     if counterexample is None:
-        _emit(args, {"universal": True})
-        return 0
-    _emit(args, {"universal": False, "counterexample": serialize(counterexample).splitlines()})
-    return 1
+        return 0, {"universal": True}, None
+    return 1, {"universal": False, "counterexample": serialize(counterexample).splitlines()}, None
 
 
-def _cmd_min_target(args) -> int:
+def _cmd_min_target(args):
     graphs = [_sized(parse_graph(_read(path))) for path in args.graphs]
     result = min_universal_size(graphs, args.k, args.max_p, _limits())
     if result is None:
-        _emit(args, {"found": False, "max_p": args.max_p})
-        return 1
+        return 1, {"found": False, "max_p": args.max_p}, None
     size, target = result
     text = serialize(target)
-    _emit(args, {"found": True, "size": size, "target": text.splitlines()})
-    _write_output(args, text)
-    return 0
+    return 0, {"found": True, "size": size, "target": text.splitlines()}, text
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     if args.family == "planar":
-        _emit(args, planar_bounds(args.k).to_dict())
-    elif args.family == "genus":
+        return 0, planar_bounds(args.k).to_dict(), None
+    if args.family == "genus":
         lower, upper, t = genus_density_bounds(args.g)
-        _emit(args, {"lower": lower, "upper": upper, "t": t})
-    else:
-        r, d, k = args.r, args.d, args.k
-        # C(P, d) >= (P // d)**d = (8*r**4)**d for P = 8*d*r**4, so the value has more than
-        # bits*log10(2) digits; refuse before computing one too long to print (a limit of
-        # 0, or none before Python 3.10.7, means any length prints)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        bits = (8 * d * r**4).bit_length() - 1 + d * ((8 * r**4 * k).bit_length() - 1)
-        if min(r, d, k - 1) >= 1 and limit and bits * 30102 // 100000 >= limit:
-            raise ValueError(f"bounds upper: the value has more than {limit} digits, too many to print")
-        value = universal_upper_bound(r, d, k)
-        _emit(args, {"value": str(value), "parameters": {"r": r, "d": d, "k": k}})
-    return 0
+        return 0, {"lower": lower, "upper": upper, "t": t}, None
+    r, d, k = args.r, args.d, args.k
+    # C(P, d) >= (P // d)**d = (8*r**4)**d for P = 8*d*r**4, so the value has more than
+    # bits*log10(2) digits; refuse before computing one too long to print (a limit of
+    # 0, or none before Python 3.10.7, means any length prints)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = (8 * d * r**4).bit_length() - 1 + d * ((8 * r**4 * k).bit_length() - 1)
+    if min(r, d, k - 1) >= 1 and limit and bits * 30102 // 100000 >= limit:
+        raise ValueError(f"bounds upper: the value has more than {limit} digits, too many to print")
+    value = universal_upper_bound(r, d, k)
+    return 0, {"value": str(value), "parameters": {"r": r, "d": d, "k": k}}, None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -406,7 +360,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
+        code, report, text = args.handler(args)
+        if text is not None and getattr(args, "output", None):
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        if args.format == "json":
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            for key in sorted(report):
+                value = report[key]
+                if isinstance(value, list):
+                    print(f"{key}:")
+                    for item in value:
+                        print(f"  {item}")
+                else:
+                    print(f"{key}: {value}")
+        return code
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -11,7 +11,9 @@ import pytest
 from ectarget import cli, out_coloring
 from ectarget.bounds import universal_upper_bound
 from ectarget.graphs import (
+    Graph,
     Limits,
+    OrientedGraph,
     parse_edge_colored,
     parse_homomorphism,
     parse_oriented,
@@ -19,6 +21,7 @@ from ectarget.graphs import (
     serialize_graph,
 )
 from helpers import grid, path, random_coloring, recursion_limit, stacked_triangulation
+from test_golden import write_inputs
 
 K4 = "4 6 1\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1\n2 3 1\n"
 C5 = "5 5 1\n0 1 1\n1 2 1\n2 3 1\n3 4 1\n0 4 1\n"
@@ -559,3 +562,69 @@ def test_cli_starts_without_the_introspection_modules():
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+OUTPUT_COMMANDS = {
+    "orient": ["orient", "{c5}"],
+    "star-color": ["star-color", "{c5}"],
+    "out-color": ["out-color", "{e3}", "--orientation", "{e3}"],
+    "build-target": ["build-target", "--q", "2", "--d", "1", "--k", "2"],
+    "build-target-explicit": ["build-target", "--q", "2", "--d", "1", "--k", "2", "--explicit"],
+    "map": ["map", "{tri}"],
+    "min-target": ["min-target", "{k2}", "--k", "2", "--max-p", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_output_into_a_missing_directory_exits_two_before_any_report(tmp_path, capsys, command):
+    files = {"c5": C5, "e3": "3 0 1\n", "tri": TRIANGLE_ECG, "k2": K2}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(**{name: tmp_path / name for name in files}) for arg in OUTPUT_COMMANDS[command]]
+    assert run(capsys, *argv)[0] == 0  # the command succeeds without --output
+    missing = tmp_path / "missing" / "out"
+    assert cli.main([*argv, "--output", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not missing.parent.exists()
+
+
+def test_orient_refuses_an_orientation_above_d(tmp_path, capsys, monkeypatch):
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    into_centre = OrientedGraph(star, {(0, leaf): (leaf, 0) for leaf in (1, 2, 3)})
+    monkeypatch.setattr(cli, "find_orientation", lambda graph, d: into_centre)
+    f = tmp_path / "star.g"
+    f.write_text(serialize_graph(star))
+    out_file = tmp_path / "star.or"
+    with pytest.raises(AssertionError, match="refusing to print"):
+        cli.main(["orient", str(f), "--d", "1", "--output", str(out_file)])
+    assert capsys.readouterr().out == ""
+    assert not out_file.exists()
+
+
+NEGATIVE_COMMANDS = {
+    "orient-k6": (["orient", "{}/k6.g", "--d", "2"], "feasible"),
+    "star-color-exact-none": (["star-color", "{}/small.g", "--exact", "5"], "found"),
+    "map-target-low-d": (["map", "{}/src.g", "--target", "{}/low_d.json"], "verified"),
+    "map-target-low-q": (["map", "{}/src.g", "--target", "{}/low_q.json"], "verified"),
+    "min-target-none": (["min-target", "{}/k6.g", "--k", "2", "--max-p", "4"], "found"),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden_inputs")
+    write_inputs(root)
+    return root
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_COMMANDS))
+def test_a_negative_answer_writes_no_output_file(golden_inputs, tmp_path, capsys, case):
+    argv, key = NEGATIVE_COMMANDS[case]
+    out_file = tmp_path / "out"
+    argv = [arg.replace("{}", str(golden_inputs)) for arg in argv]
+    code, payload = run_json(capsys, *argv, "--output", str(out_file))
+    assert code == 1
+    assert payload[key] is False
+    assert not out_file.exists()
