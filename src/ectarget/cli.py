@@ -1,11 +1,12 @@
 """Command-line front end wiring the whole pipeline together.
 
 Exit codes: 0 success, 1 verified negative (infeasible, not found, or
-counterexample), 2 usage or input error, 3 size guard exceeded. Commands
-that emit a constructed object always run the matching verifier first.
-Each ``_cmd_*`` handler returns (exit code, report, output text or None);
-``main`` alone writes the ``--output`` file, on exit 0 and before the
-report, then prints the report, so stdout is empty on exit 2 or 3.
+counterexample), 2 usage or input error, 3 size guard exceeded, 4 internal
+error: the program refused its own output. Commands that emit a constructed
+object always run the matching verifier first and raise AssertionError when
+it fails. Each ``_cmd_*`` handler returns (exit code, report, output text or
+None); ``main`` alone writes the ``--output`` file, on exit 0 and before the
+report, then prints the report, so stdout is empty on exit 2, 3 or 4.
 Identical inputs and seed produce byte-identical output. The environment
 variable ECTARGET_GUARD_OVERRIDE raises each of the eight size limits of
 ``Limits`` that is below the given integer to it (searches can then be very
@@ -382,6 +383,9 @@ def main(argv=None) -> int:
     except TargetNotUniversal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (GraphFormatError, OSError, ValueError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

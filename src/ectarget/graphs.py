@@ -142,17 +142,19 @@ def smallest_last_order(adjacency) -> list:
     adjacency[v] holds the (deduplicated, undirected) neighbors of vertex v,
     for every v in 0..len(adjacency)-1. Each step removes the remaining
     vertex of least (degree, id), so a vertex has at most the degeneracy
-    neighbors removed after it. A lazy heap finds it in O((n + m) log n): a
-    vertex's degree only falls, and each fall pushes a new entry, so an entry
-    is stale exactly when its degree is no longer the vertex's current one.
+    neighbors removed after it. A lazy heap of keys degree * n + id finds it
+    in O((n + m) log n): a degree only falls, and each fall pushes a new
+    entry, so an entry is stale when it no longer holds its vertex's degree.
     """
+    n = len(adjacency)
     degree = [len(a) for a in adjacency]
-    heap = [(deg, v) for v, deg in enumerate(degree)]
+    heap = [deg * n + v for v, deg in enumerate(degree)]
     heapq.heapify(heap)
-    removed = [False] * len(degree)
+    pop, push = heapq.heappop, heapq.heappush
+    removed = [False] * n
     removal = []
     while heap:
-        deg, v = heapq.heappop(heap)
+        deg, v = divmod(pop(heap), n)
         if deg != degree[v]:
             continue
         removed[v] = True
@@ -160,7 +162,7 @@ def smallest_last_order(adjacency) -> list:
         for u in adjacency[v]:
             if not removed[u]:
                 degree[u] -= 1
-                heapq.heappush(heap, (degree[u], u))
+                push(heap, degree[u] * n + u)
     return removal
 
 

@@ -22,7 +22,6 @@ repair, within a (2d+1)*p^m budget.
 from __future__ import annotations
 
 import json
-from itertools import combinations
 
 from .bounds import ceil_log
 from .coloring import verify_star
@@ -59,28 +58,31 @@ def verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> bo
     if len(coloring) != oriented.graph.n:
         return False
     col = coloring.assign
-    if any(col[u] == col[v] for u, v in oriented.graph.edges):
-        return False
-    for v in range(oriented.graph.n):
-        ps = oriented.parents(v)
-        if len({col[p] for p in ps}) < len(ps):
+    for u, v in oriented.graph.edges:
+        if col[u] == col[v]:
             return False
-        if any(col[gp] == col[v] for p in ps for gp in oriented.parents(p)):
+    parents = list(map(oriented.parents, range(len(col))))
+    for v, ps in enumerate(parents):
+        c = col[v]
+        if len(ps) > 1 and len({col[p] for p in ps}) < len(ps):
             return False
+        for p in ps:
+            for gp in parents[p]:
+                if col[gp] == c:
+                    return False
     return True
 
 
-def _degeneracy_greedy(n: int, adjacency: dict, max_colors: int) -> list:
+def _degeneracy_greedy(adjacency: list, max_colors: int) -> list:
     """Greedy coloring in reverse smallest-last order (Matula-Beck 1983).
 
-    adjacency maps a vertex to the set of its (deduplicated, undirected)
-    neighbors. Every vertex keeps at most max_colors - 1 colored neighbors at
+    adjacency[v] is the set of the (deduplicated, undirected) neighbors of
+    vertex v. Every vertex keeps at most max_colors - 1 colored neighbors at
     assignment time, which the caller guarantees via a degree bound.
     """
-    adjacency = [adjacency.get(v, ()) for v in range(n)]
-    colors = [0] * n
+    colors = [0] * len(adjacency)
     for v in reversed(smallest_last_order(adjacency)):
-        used = {colors[u] for u in adjacency[v] if colors[u]}
+        used = {colors[u] for u in adjacency[v]}
         c = 1
         while c in used:
             c += 1
@@ -133,13 +135,15 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColo
     s, col = star.palette, star.assign
     if d == 0:
         return _certify(oriented, [()] * graph.n, 1, {})
+    parents = list(map(oriented.parents, range(graph.n)))
+    children = list(map(oriented.children, range(graph.n)))
     rule_counts = {}
     in_degrees = [0] * graph.n
-    adjacency = {v: set() for v in range(graph.n)}
-    conflicts = {v: set() for v in range(graph.n)}
-    for x in range(graph.n):
-        ps = oriented.parents(x)
-        for rule, heads in (("R1", ps), ("R2", oriented.children(x))):
+    adjacency = [set() for _ in range(graph.n)]
+    conflicts = []
+    for x, ps in enumerate(parents):
+        cs = children[x]
+        for rule, heads in (("R1", ps), ("R2", cs)):
             for b in ps:
                 for a in heads:
                     if a != b and col[a] == col[b]:
@@ -147,17 +151,21 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColo
                         in_degrees[a] += 1
                         adjacency[b].add(a)
                         adjacency[a].add(b)
-        # the pairs C1, C2 and C3 keep apart: x and its parents, two parents, x and a grandparent
-        pairs = [(x, p) for p in ps] + list(combinations(ps, 2))
-        pairs += [(x, g) for p in ps for g in oriented.parents(p)]
-        for u, v in pairs:
-            conflicts[u].add(v)
-            conflicts[v].add(u)
+        # C1, C2 and C3 keep x apart from its parents and children, the other
+        # parents of its children, its grandparents and its grandchildren
+        near = {*ps, *cs}
+        for p in ps:
+            near.update(parents[p])
+        for c in cs:
+            near.update(parents[c])
+            near.update(children[c])
+        near.discard(x)
+        conflicts.append(near)
     if max(in_degrees) > d * (s - 1):
         raise AssertionError("auxiliary digraph in-degree bound violated")
-    aux_colors = _degeneracy_greedy(graph.n, adjacency, 2 * d * s)
-    tuples = list(zip(col, aux_colors))
-    direct = _degeneracy_greedy(graph.n, conflicts, graph.n)
+    tuples = list(zip(col, _degeneracy_greedy(adjacency, 2 * d * s)))
+    del adjacency  # frees the auxiliary sets before the larger greedy below
+    direct = _degeneracy_greedy(conflicts, graph.n)
     if max(direct) < len(set(tuples)):
         tuples = direct
     return _certify(oriented, tuples, 2 * d * s * s, rule_counts)
@@ -206,7 +214,7 @@ def out_coloring_from_universal(
             raise TargetNotUniversal(derived)
         hom_images.append(hom.mapping)
     rule_counts = {}
-    conflicts = {v: set() for v in range(graph.n)}
+    conflicts = [set() for _ in range(graph.n)]
     for w in range(graph.n):
         for a, mid in enumerate(oriented.parents(w), start=1):
             grand = oriented.parents(mid)
@@ -215,7 +223,7 @@ def out_coloring_from_universal(
                 rule_counts["C3"] = rule_counts.get("C3", 0) + 1
                 conflicts[u].add(w)
                 conflicts[w].add(u)
-    repair = _degeneracy_greedy(graph.n, conflicts, 2 * d + 1)
+    repair = _degeneracy_greedy(conflicts, 2 * d + 1)
     tuples = [tuple(h[v] for h in hom_images) + (repair[v],) for v in range(graph.n)]
     return _certify(oriented, tuples, (2 * d + 1) * p**digits, rule_counts)
 

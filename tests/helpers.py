@@ -7,7 +7,9 @@ existence by pruned exhaustive assignment, star validity by the
 every-bicolored-component-is-a-star characterization, out-colorings as
 in-colorings of the transpose, tuple-target ids by a walk over every
 coordinate and letter, tuple-target edge colors on dense tuples,
-smallest-last order by a scan of every remaining vertex, star colorings by
+smallest-last order by a scan of every remaining vertex and by a heap keyed
+on (degree, id) tuples, the two-stage out-coloring from a list of conflict
+pairs with the scan's greedy, star colorings by
 enumerating 4-vertex paths, the greedy and exact star colorings by walking
 three steps out from each vertex for every candidate color, homomorphisms by
 a search over a static degree order, universality by searching every
@@ -18,6 +20,7 @@ full against every graph.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import itertools
 import random
 import sys
@@ -33,6 +36,7 @@ from ectarget.graphs import (
     OrientedGraph,
     VertexColoring,
 )
+from ectarget.out_coloring import OutColoringCertificate
 from ectarget.universal import _canonical, _restricted_growth, _search_target
 
 
@@ -347,6 +351,65 @@ def scan_degeneracy_greedy(n: int, adjacency: dict, max_colors: int) -> list:
             raise AssertionError(f"greedy coloring exceeded {max_colors} colors")
         colors[v] = c
     return colors
+
+
+def tuple_key_smallest_last_order(adjacency) -> list:
+    """Smallest-last removal order from a lazy heap of (degree, id) tuples:
+    the reference for the library's heap of one-integer keys."""
+    degree = [len(a) for a in adjacency]
+    heap = [(deg, v) for v, deg in enumerate(degree)]
+    heapq.heapify(heap)
+    removed = [False] * len(degree)
+    removal = []
+    while heap:
+        deg, v = heapq.heappop(heap)
+        if deg != degree[v]:
+            continue
+        removed[v] = True
+        removal.append(v)
+        for u in adjacency[v]:
+            if not removed[u]:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
+    return removal
+
+
+def pair_list_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColoringCertificate:
+    """The two-stage out-coloring of build_out_coloring, with its auxiliary
+    and C1-C3 conflict graphs built as dicts of sets from a list of pairs per
+    vertex and colored by the scan's greedy; unverified, for a valid star
+    coloring only."""
+    n, col = oriented.graph.n, star.assign
+    d, s = oriented.max_in_degree, star.palette
+    if d == 0:
+        return OutColoringCertificate(VertexColoring(1, [1] * n), 1, {})
+    rule_counts = {}
+    in_degrees = [0] * n
+    adjacency = {v: set() for v in range(n)}
+    conflicts = {v: set() for v in range(n)}
+    for x in range(n):
+        ps = oriented.parents(x)
+        for rule, heads in (("R1", ps), ("R2", oriented.children(x))):
+            for b in ps:
+                for a in heads:
+                    if a != b and col[a] == col[b]:
+                        rule_counts[rule] = rule_counts.get(rule, 0) + 1
+                        in_degrees[a] += 1
+                        adjacency[b].add(a)
+                        adjacency[a].add(b)
+        # the pairs C1, C2 and C3 keep apart: x and its parents, two parents, x and a grandparent
+        pairs = [(x, p) for p in ps] + list(itertools.combinations(ps, 2))
+        pairs += [(x, g) for p in ps for g in oriented.parents(p)]
+        for u, v in pairs:
+            conflicts[u].add(v)
+            conflicts[v].add(u)
+    assert max(in_degrees) <= d * (s - 1)
+    tuples = list(zip(col, scan_degeneracy_greedy(n, adjacency, 2 * d * s)))
+    direct = scan_degeneracy_greedy(n, conflicts, n)
+    if max(direct) < len(set(tuples)):
+        tuples = direct
+    ranks = {t: i + 1 for i, t in enumerate(sorted(set(tuples)))}
+    return OutColoringCertificate(VertexColoring(len(ranks), [ranks[t] for t in tuples]), 2 * d * s * s, rule_counts)
 
 
 def _star_safe(graph: Graph, assign: list, v: int, c: int) -> bool:

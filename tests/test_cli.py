@@ -597,9 +597,31 @@ def test_orient_refuses_an_orientation_above_d(tmp_path, capsys, monkeypatch):
     f = tmp_path / "star.g"
     f.write_text(serialize_graph(star))
     out_file = tmp_path / "star.or"
-    with pytest.raises(AssertionError, match="refusing to print"):
-        cli.main(["orient", str(f), "--d", "1", "--output", str(out_file)])
-    assert capsys.readouterr().out == ""
+    assert cli.main(["orient", str(f), "--d", "1", "--output", str(out_file)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: refusing to print an orientation with in-degree above d\n"
+    assert not out_file.exists()
+
+
+# command -> (the verifier it calls, input file text, what it refuses to print)
+REFUSALS = {
+    "star-color": ("verify_star", C5, "an unverified coloring"),
+    "map": ("verify_homomorphism", TRIANGLE_ECG, "an unverified homomorphism"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REFUSALS))
+def test_a_refused_artifact_exits_four(tmp_path, capsys, monkeypatch, command):
+    verifier, text, what = REFUSALS[command]
+    monkeypatch.setattr(cli, verifier, lambda *args: False)
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    out_file = tmp_path / "out"
+    assert cli.main([command, str(f), "--output", str(out_file)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: refusing to print {what}\n"
     assert not out_file.exists()
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import time
 from itertools import combinations
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from conftest import oriented_graphs, oriented_with_coloring
 from ectarget.coloring import greedy_star_coloring, verify_acyclic, verify_star
 from ectarget.density import min_orientation
-from ectarget.graphs import EdgeColoredGraph, Graph, OrientedGraph, VertexColoring
+from ectarget.graphs import EdgeColoredGraph, Graph, OrientedGraph, VertexColoring, smallest_last_order
 from ectarget.out_coloring import (
     TargetNotUniversal,
     _degeneracy_greedy,
@@ -22,10 +24,13 @@ from helpers import (
     acceptance_corpus,
     aux_triples,
     clique,
+    pair_list_out_coloring,
     path,
+    random_graph,
     scan_degeneracy_greedy,
     stacked_triangulation,
     transpose,
+    tuple_key_smallest_last_order,
     two_stage_palette,
     verify_in_coloring,
 )
@@ -199,9 +204,9 @@ def test_heap_order_colors_exactly_as_the_scan(case):
         expected = scan_degeneracy_greedy(n, adjacency, max_colors)
     except AssertionError:
         with pytest.raises(AssertionError, match=f"exceeded {max_colors} colors"):
-            _degeneracy_greedy(n, adjacency, max_colors)
+            _degeneracy_greedy([adjacency.get(v, set()) for v in range(n)], max_colors)
     else:
-        assert _degeneracy_greedy(n, adjacency, max_colors) == expected
+        assert _degeneracy_greedy([adjacency.get(v, set()) for v in range(n)], max_colors) == expected
 
 
 @pytest.mark.parametrize("kind", ["path", "edgeless"])
@@ -212,10 +217,72 @@ def test_smallest_last_order_on_twenty_thousand_vertices_is_fast(kind):
     else:
         adjacency = {}
     start = time.perf_counter()
-    colors = _degeneracy_greedy(n, adjacency, 2)
+    colors = _degeneracy_greedy([adjacency.get(v, set()) for v in range(n)], 2)
     assert time.perf_counter() - start < 2.0
     assert len(colors) == n
     assert max(colors) == (2 if kind == "path" else 1)
+
+
+@given(adjacency_dicts())
+@settings(max_examples=300)
+def test_smallest_last_order_matches_the_tuple_key_heap(case):
+    n, adjacency, _ = case
+    adjacency = [adjacency.get(v, set()) for v in range(n)]
+    assert smallest_last_order(adjacency) == tuple_key_smallest_last_order(adjacency)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_smallest_last_order_matches_the_tuple_key_heap_on_ties(n):
+    """Edgeless graphs, paths, disjoint equal cliques and a random graph, on
+    their own vertex ids and relabeled, where many vertices tie on degree."""
+    graphs = [Graph(n), path(n), random_graph(n, 0.1, random.Random(n))]
+    for size in (2, 3, 5):
+        graphs.append(Graph(n, [(u, v) for u, v in combinations(range(n), 2) if u // size == v // size]))
+    shuffled = list(range(n))
+    random.Random(n).shuffle(shuffled)
+    for label in (range(n), shuffled):
+        for g in graphs:
+            adjacency = [set() for _ in range(n)]
+            for u, v in g.edges:
+                adjacency[label[u]].add(label[v])
+                adjacency[label[v]].add(label[u])
+            assert smallest_last_order(adjacency) == tuple_key_smallest_last_order(adjacency)
+
+
+@st.composite
+def oriented_with_star(draw):
+    """A random oriented graph with a greedy star coloring of a drawn seed."""
+    oriented = draw(oriented_graphs(max_n=14))
+    return oriented, greedy_star_coloring(oriented.graph, seed=draw(st.integers(0, 1000)))
+
+
+@given(oriented_with_star())
+@settings(max_examples=300)
+def test_build_out_coloring_matches_the_pair_list_construction(case):
+    oriented, star = case
+    cert = build_out_coloring(oriented, star)
+    reference = pair_list_out_coloring(oriented, star)
+    assert cert.coloring == reference.coloring
+    assert cert.budget == reference.budget
+    assert list(cert.rule_counts.items()) == list(reference.rule_counts.items())
+
+
+# sha256 of the certificate file and the rule_counts repr, recorded from the
+# construction over a pair list and dicts of sets
+TRIANGULATION_CERTIFICATES = {
+    0: "645ba235f1f51868b4b7a4be130399d771ce99e0eae3e6141ae34246940e4483",
+    1: "06f8efcbbe974522322e9afc4bee55709d4d7be25abeb89d67d3d8e193e3b5f0",
+    2: "fdca9c1612fe51fa2e72fc8ab663b75517365a93190a44e17305bce6463ca63f",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRIANGULATION_CERTIFICATES))
+def test_out_coloring_of_a_large_triangulation_is_pinned(seed):
+    graph = stacked_triangulation(1500, seed)
+    _, oriented = min_orientation(graph)
+    cert = build_out_coloring(oriented, greedy_star_coloring(graph, seed=seed))
+    text = serialize_certificate(cert) + repr(cert.rule_counts)
+    assert hashlib.sha256(text.encode()).hexdigest() == TRIANGULATION_CERTIFICATES[seed]
 
 
 def test_certificate_serialization_header():
