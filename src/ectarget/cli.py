@@ -10,7 +10,8 @@ report, then prints the report, so stdout is empty on exit 2, 3 or 4.
 Identical inputs and seed produce byte-identical output. The environment
 variable ECTARGET_GUARD_OVERRIDE raises each of the eight size limits of
 ``Limits`` that is below the given integer to it (searches can then be very
-slow); only the commands that hit a limit read it.
+slow); only the commands that hit a limit read it. A search it lets run
+deeper than Python's recursion limit exits 3, as a guard would.
 """
 
 from __future__ import annotations
@@ -377,7 +378,7 @@ def main(argv=None) -> int:
                 else:
                     print(f"{key}: {value}")
         return code
-    except GuardExceeded as exc:
+    except (GuardExceeded, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TargetNotUniversal as exc:

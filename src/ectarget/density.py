@@ -226,7 +226,7 @@ def find_orientation(graph: Graph, d: int) -> OrientedGraph:
         heads = [arc[0] if arc[1] == 0 else head for arc, head in zip(arcs, heads)]
     edges = graph.sorted_edges
     direction = {(u, v): (v, u) if head == u else (u, v) for (u, v), head in zip(edges, heads)}
-    return OrientedGraph(graph, direction)
+    return OrientedGraph._trusted(graph, direction)  # canonical: sorted edge order
 
 
 def min_orientation(graph: Graph) -> tuple[int, OrientedGraph]:

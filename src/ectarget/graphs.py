@@ -6,10 +6,14 @@ graph uses colors ``1..k``. All types are frozen after construction, by the
 small ``Value`` base below, and can be shared freely across threads.
 
 Text format (UTF-8, LF newlines): first line ``n m k``, then ``m`` lines
-``u v c``. Lines starting with ``#`` are comments and may appear anywhere.
+``u v c`` with ``u != v``, both in ``0..n-1``, in either order, each edge
+once. Lines starting with ``#`` are comments and may appear anywhere.
 Plain graph files use ``k = 1`` and ``c = 1`` throughout. Oriented graph
 files append a direction flag per edge line: ``u v c >`` orients the edge
 from ``u`` to ``v``, ``u v c <`` the other way.
+
+Input is validated once: text in one pass of the parsers, library values in
+the public constructors. Records canonical by construction skip the checks.
 """
 
 from __future__ import annotations
@@ -74,6 +78,13 @@ class Value:
             raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
         vars(self).update(zip(names, args), **kwargs)  # past the frozen __setattr__
 
+    @classmethod
+    def _trusted(cls, *values, **cached):
+        """A record of canonical field values (and cached_property values), unchecked."""
+        self = object.__new__(cls)
+        vars(self).update(zip(cls._fields, values), **cached)
+        return self
+
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
@@ -123,11 +134,13 @@ class Graph(Value):
 
     @cached_property
     def _adjacency(self):
+        # in sorted edge order each vertex meets its lower neighbors (edges
+        # (w, v)), then its higher ones (edges (v, u)), so each list ascends
         adj = [[] for _ in range(self.n)]
         for u, v in self.sorted_edges:
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        return tuple(map(tuple, adj))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[v]
@@ -290,12 +303,7 @@ class Homomorphism(Value):
 
 
 def _content_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+    return [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
 
 
 def _parse_header(line: str) -> tuple[int, int, int]:
@@ -315,75 +323,64 @@ def _parse_header(line: str) -> tuple[int, int, int]:
     return n, m, k
 
 
-def _parse_edge_line(line: str, want_flag: bool):
-    parts = line.split()
-    expected = 4 if want_flag else 3
-    if len(parts) != expected:
-        raise GraphFormatError(f"malformed edge line {line!r}")
-    try:
-        u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
-    except ValueError:
-        raise GraphFormatError(f"malformed edge line {line!r}") from None
-    flag = parts[3] if want_flag else None
-    if want_flag and flag not in (">", "<"):
-        raise GraphFormatError(f"direction flag must be '>' or '<' in {line!r}")
-    return u, v, c, flag
-
-
 def _parse_body(text: str, want_flag: bool = False):
+    """(k, graph, edges) of a graph file, checked in one pass in line order:
+    edges maps each edge (u, v), u < v, to its color, or to its (tail, head)
+    when the lines carry direction flags."""
     lines = _content_lines(text)
     if not lines:
         raise GraphFormatError("empty input, expected an 'n m k' header")
     n, m, k = _parse_header(lines[0])
     if len(lines) - 1 != m:
         raise GraphFormatError(f"header promises {m} edge lines, found {len(lines) - 1}")
-    seen = set()
-    rows = []
+    fields = 4 if want_flag else 3
+    edges = {}
     for line in lines[1:]:
-        u, v, c, flag = _parse_edge_line(line, want_flag)
+        parts = line.split()
+        if len(parts) != fields:
+            raise GraphFormatError(f"malformed edge line {line!r}")
+        try:
+            u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise GraphFormatError(f"malformed edge line {line!r}") from None
+        if want_flag and parts[3] not in (">", "<"):
+            raise GraphFormatError(f"direction flag must be '>' or '<' in {line!r}")
         if u == v:
             raise GraphFormatError(f"loop edge {u} {v}")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"edge {u} {v} has an endpoint outside 0..{n - 1}")
         e = (u, v) if u < v else (v, u)
-        if e in seen:
+        if e in edges:
             raise GraphFormatError(f"duplicate edge {e[0]} {e[1]}")
-        seen.add(e)
         if not (1 <= c <= k):
             raise GraphFormatError(f"color {c} outside 1..{k}")
-        rows.append((u, v, c, flag))
-    return n, k, rows
+        edges[e] = ((u, v) if parts[3] == ">" else (v, u)) if want_flag else c
+    order = tuple(sorted(edges))
+    return k, Graph._trusted(n, frozenset(order), sorted_edges=order), edges
 
 
 def parse_edge_colored(text: str) -> EdgeColoredGraph:
     """Parse an 'n m k' header plus 'u v c' lines into a k-edge-colored graph."""
-    n, k, rows = _parse_body(text)
+    k, graph, edges = _parse_body(text)
     if k < 2:
         raise GraphFormatError(f"edge-colored graphs need k >= 2, got k={k}")
-    graph = Graph(n, [(u, v) for u, v, _, _ in rows])
-    color = {(min(u, v), max(u, v)): c for u, v, c, _ in rows}
-    return EdgeColoredGraph(graph, k, color)
+    return EdgeColoredGraph._trusted(graph, k, {e: edges[e] for e in graph.sorted_edges})
 
 
 def parse_graph(text: str) -> Graph:
     """Parse a plain graph file (k = 1, all edge colors 1)."""
-    n, k, rows = _parse_body(text)
+    k, graph, _ = _parse_body(text)
     if k != 1:
         raise GraphFormatError(f"plain graph files use k = 1, got k={k}")
-    return Graph(n, [(u, v) for u, v, _, _ in rows])
+    return graph
 
 
 def parse_oriented(text: str) -> OrientedGraph:
     """Parse a plain graph file whose edge lines carry direction flags."""
-    n, k, rows = _parse_body(text, want_flag=True)
+    k, graph, edges = _parse_body(text, want_flag=True)
     if k != 1:
         raise GraphFormatError(f"oriented graph files use k = 1, got k={k}")
-    graph = Graph(n, [(u, v) for u, v, _, _ in rows])
-    direction = {}
-    for u, v, _, flag in rows:
-        e = (u, v) if u < v else (v, u)
-        direction[e] = (u, v) if flag == ">" else (v, u)
-    return OrientedGraph(graph, direction)
+    return OrientedGraph._trusted(graph, {e: edges[e] for e in graph.sorted_edges})
 
 
 def serialize(colored: EdgeColoredGraph) -> str:

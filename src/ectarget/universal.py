@@ -60,7 +60,7 @@ class UniversalTarget:
         # so cols[b][L] = cols[b][L-1] + (k-1)·cols[b-1][L-1], increasing in L
         cols = [[1] * (q + 1)]
         for _ in range(self.d):
-            cols.append(list(itertools.accumulate(((k - 1) * c for c in cols[-1][:-1]), initial=1)))
+            cols.append(list(itertools.accumulate(((k - 1) * c for c in itertools.islice(cols[-1], q)), initial=1)))
         self._cols = cols
         self.block = cols[self.d][q]
         self.vertex_count = q * self.block
@@ -126,7 +126,8 @@ class UniversalTarget:
         for a in range(p):
             for b in range(a + 1, p):
                 edges[(a, b)] = color(vs[a], vs[b])
-        return EdgeColoredGraph(Graph(p, edges.keys()), self.k, edges)
+        graph = Graph._trusted(p, frozenset(edges), sorted_edges=tuple(edges))  # pairs a < b, ascending
+        return EdgeColoredGraph._trusted(graph, self.k, edges)
 
 
 def build_universal(q: int, d: int, k: int, limits: Limits = LIMITS) -> UniversalTarget:

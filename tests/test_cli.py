@@ -625,6 +625,28 @@ def test_a_refused_artifact_exits_four(tmp_path, capsys, monkeypatch, command):
     assert not out_file.exists()
 
 
+# case -> (argv, path length, ECTARGET_GUARD_OVERRIDE): under the raised
+# limits each search recurses once per path vertex, past the recursion limit
+DEEP_SEARCHES = {
+    "star-color-exact": (["star-color", "{graph}", "--exact", "3", "--output", "{out}"], 3000, "100000"),
+    "check-universal": (["check-universal", "{target}", "--graph", "{graph}", "--k", "2"], 1100, str(10**400)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_SEARCHES))
+def test_a_search_deeper_than_the_recursion_limit_exits_three(tmp_path, capsys, monkeypatch, case):
+    argv, n, override = DEEP_SEARCHES[case]
+    files = {"graph": tmp_path / "path.g", "target": tmp_path / "t.json", "out": tmp_path / "out"}
+    files["graph"].write_text(serialize_graph(path(n)))
+    files["target"].write_text('{"q": 3, "d": 1, "k": 2}\n')
+    monkeypatch.setenv("ECTARGET_GUARD_OVERRIDE", override)
+    assert cli.main([arg.format(**files) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: maximum recursion depth exceeded")
+    assert not files["out"].exists()
+
+
 NEGATIVE_COMMANDS = {
     "orient-k6": (["orient", "{}/k6.g", "--d", "2"], "feasible"),
     "star-color-exact-none": (["star-color", "{}/small.g", "--exact", "5"], "found"),

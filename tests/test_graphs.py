@@ -1,7 +1,11 @@
+import re
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import edge_colored_graphs, oriented_graphs
+from conftest import edge_colored_graphs, graphs, oriented_graphs
+from ectarget.density import find_orientation, min_orientation
 from ectarget.graphs import (
     EdgeColoredGraph,
     Graph,
@@ -19,6 +23,7 @@ from ectarget.graphs import (
     serialize_homomorphism,
     serialize_oriented,
 )
+from ectarget.universal import build_universal
 from helpers import transpose
 
 
@@ -198,3 +203,120 @@ def test_transpose_flips_every_edge():
     back = transpose(og)
     assert back.direction == {(0, 1): (1, 0), (1, 2): (1, 2)}
     assert transpose(back) == og
+
+
+@given(graphs())
+def test_neighbors_ascend(g):
+    for v in range(g.n):
+        assert g.neighbors(v) == tuple(sorted(b if a == v else a for a, b in g.edges if v in (a, b)))
+
+
+# ---------------------------------------------------------------------------
+# records built without the constructors' checks
+# ---------------------------------------------------------------------------
+
+
+def assert_same_graph(got, want):
+    assert got == want and type(got.edges) is frozenset
+    assert got.sorted_edges == want.sorted_edges
+    assert [got.neighbors(v) for v in range(got.n)] == [want.neighbors(v) for v in range(want.n)]
+
+
+def assert_same_colored(got, want):
+    assert got == want
+    assert_same_graph(got.graph, want.graph)
+    assert list(got.color.items()) == list(want.color.items())
+    assert got.by_color == want.by_color
+
+
+def assert_same_oriented(got, want):
+    assert got == want
+    assert_same_graph(got.graph, want.graph)
+    assert list(got.direction.items()) == list(want.direction.items())
+    for v in range(got.graph.n):
+        assert got.parents(v) == want.parents(v) and got.children(v) == want.children(v)
+
+
+@st.composite
+def shuffled_lines(draw):
+    """An edge-colored graph and one (u, v, color, (tail, head)) row per
+    edge, in a random order with the endpoints either way round, plus the
+    positions of comment lines among the rows."""
+    ecg = draw(edge_colored_graphs())
+    rows = []
+    for u, v in draw(st.permutations(ecg.graph.sorted_edges)):
+        arc = (u, v) if draw(st.booleans()) else (v, u)
+        a, b = (u, v) if draw(st.booleans()) else (v, u)
+        rows.append((a, b, ecg.color[(u, v)], arc))
+    comments = draw(st.lists(st.integers(0, len(rows)), max_size=3))
+    return ecg, rows, comments
+
+
+def _file(header, lines, comments):
+    lines = list(lines)
+    for at in sorted(comments, reverse=True):
+        lines.insert(at, "# a comment")
+    return "\n".join([header, *lines]) + "\n"
+
+
+@given(shuffled_lines())
+def test_parsers_build_the_records_the_constructors_build(case):
+    ecg, rows, comments = case
+    n, m = ecg.graph.n, ecg.graph.m
+    graph = Graph(n, [(a, b) for a, b, _, _ in rows])
+    colored = EdgeColoredGraph(graph, ecg.k, {(a, b): c for a, b, c, _ in rows})
+    oriented = OrientedGraph(graph, {(a, b): arc for a, b, _, arc in rows})
+    colored_text = _file(f"{n} {m} {ecg.k}", (f"{a} {b} {c}" for a, b, c, _ in rows), comments)
+    plain_text = _file(f"{n} {m} 1", (f"{a} {b} 1" for a, b, _, _ in rows), comments)
+    flags = (f"{a} {b} 1 {'>' if arc == (a, b) else '<'}" for a, b, _, arc in rows)
+    assert_same_colored(parse_edge_colored(colored_text), colored)
+    assert_same_graph(parse_graph(plain_text), graph)
+    assert_same_oriented(parse_oriented(_file(f"{n} {m} 1", flags, comments)), oriented)
+
+
+@given(graphs())
+def test_find_orientation_builds_the_record_the_constructor_builds(g):
+    _, oriented = min_orientation(g)
+    for got in (oriented, find_orientation(g, g.n)):
+        assert_same_oriented(got, OrientedGraph(Graph(g.n, g.edges), list(got.direction.items())[::-1]))
+
+
+@pytest.mark.parametrize("q, d, k", [(1, 0, 2), (2, 1, 2), (2, 2, 3), (3, 1, 2), (3, 2, 2)])
+def test_explicit_target_is_the_record_the_constructor_builds(q, d, k):
+    got = build_universal(q, d, k).to_edge_colored_graph()
+    pairs = list(got.color.items())[::-1]
+    assert_same_colored(got, EdgeColoredGraph(Graph(got.graph.n, [e for e, _ in pairs]), k, pairs))
+
+
+# Files with two faults, one for each pair of adjacent checks in the
+# parser's order: line count, fields, integers, flag, loop, range,
+# duplicate, color, then the palette of the file kind. Within a line the
+# earlier check is reported, and across lines the earlier line, whatever
+# its check. Fields and integers share one message.
+FIRST_FAULT = [
+    # the earlier check wins, on one line or where its fault hides the other's
+    (parse_edge_colored, "3 2 2\n0 1\n", "header promises 2 edge lines, found 1"),
+    (parse_edge_colored, "3 1 2\n0 1 1 >", "malformed edge line '0 1 1 >'"),
+    (parse_oriented, "3 1 1\n0 x 1 ?", "malformed edge line '0 x 1 ?'"),
+    (parse_oriented, "3 1 1\n1 1 1 ?", "direction flag must be '>' or '<' in '1 1 1 ?'"),
+    (parse_edge_colored, "3 1 2\n3 3 1", "loop edge 3 3"),
+    (parse_edge_colored, "3 2 2\n0 3 1\n3 0 1", "edge 0 3 has an endpoint outside 0..2"),
+    (parse_edge_colored, "3 2 2\n0 1 1\n1 0 3", "duplicate edge 0 1"),
+    (parse_edge_colored, "3 1 1\n0 1 2", "color 2 outside 1..1"),
+    (parse_graph, "3 1 2\n0 1 3", "color 3 outside 1..2"),
+    (parse_edge_colored, "3 1 1\n0 1", "malformed edge line '0 1'"),
+    # the earlier line wins, whatever its check
+    (parse_edge_colored, "3 2 2\n0 x 1\n0 1", "malformed edge line '0 x 1'"),
+    (parse_oriented, "3 2 1\n0 1 1 ?\n0 x 1 >", "direction flag must be '>' or '<' in '0 1 1 ?'"),
+    (parse_oriented, "3 2 1\n1 1 1 >\n0 1 1 ?", "loop edge 1 1"),
+    (parse_edge_colored, "3 2 2\n0 4 1\n1 1 1", "edge 0 4 has an endpoint outside 0..2"),
+    (parse_edge_colored, "3 3 2\n0 1 1\n2 2 1\n1 0 1", "loop edge 2 2"),
+    (parse_edge_colored, "3 3 2\n0 1 1\n1 0 1\n0 5 1", "duplicate edge 0 1"),
+    (parse_edge_colored, "3 2 2\n0 1 3\n0 5 1", "color 3 outside 1..2"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", FIRST_FAULT)
+def test_the_first_fault_is_reported(parse, text, message):
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        parse(text)
