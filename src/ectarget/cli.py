@@ -38,7 +38,7 @@ from .graphs import (
     serialize_homomorphism,
     serialize_oriented,
 )
-from .out_coloring import TargetNotUniversal, build_out_coloring, serialize_certificate
+from .out_coloring import build_out_coloring, serialize_certificate
 from .universal import (
     UniversalTarget,
     build_homomorphism,
@@ -381,9 +381,6 @@ def main(argv=None) -> int:
     except (GuardExceeded, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except TargetNotUniversal as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except AssertionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -10,10 +10,11 @@ where a parent is the tail of an incoming edge and a grandparent sits two
 steps back along incoming edges. Restricted to the underlying graph, every
 out-coloring is a star coloring (and hence acyclic).
 
-``build_out_coloring`` combines a star coloring of the underlying graph with
-a greedy coloring of an auxiliary conflict digraph to produce an out-coloring
-within a 2*d*s*s palette budget, or a direct greedy coloring of the C1-C3
-conflicts when that one is smaller. ``out_coloring_from_universal`` goes the
+``build_out_coloring`` colors the C1-C3 conflicts directly in smallest-last
+order and emits that coloring when it fits the 2*d*s*s palette budget of the
+two-stage construction (a star coloring of the underlying graph paired with a
+greedy coloring of an auxiliary conflict digraph), which it builds only when
+the direct one does not fit. ``out_coloring_from_universal`` goes the
 other way: given any target graph that is universal for the underlying graph,
 it assembles an out-coloring from homomorphism images and a small conflict
 repair, within a (2d+1)*p^m budget.
@@ -111,8 +112,8 @@ def _certify(oriented: OrientedGraph, tuples: list, budget: int, rule_counts: di
 def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColoringCertificate:
     """Out-coloring from a star coloring of the underlying graph.
 
-    Builds an auxiliary digraph on the vertex set with two rules over triples
-    (b, x, a) of vertices:
+    The budget comes from an auxiliary digraph on the vertex set, with two
+    rules over triples (b, x, a) of vertices:
 
         R1  a and b are distinct parents of x with equal star colors,
         R2  b is a parent of x, x is a parent of a, and the star colors of a
@@ -123,10 +124,13 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColo
     degeneracy order needs at most 2*d*s colors. Pairing it with the star
     coloring yields an out-coloring within the 2*d*s*s budget.
 
-    The same greedy also colors the C1-C3 conflict graph directly, and that
-    coloring is emitted when it uses fewer colors than there are distinct
-    (star, auxiliary) pairs. The budget and rule counts describe the
-    two-stage construction either way, and the palette never exceeds that budget.
+    The coloring emitted is the same greedy run on the C1-C3 conflict graph
+    directly, whenever it fits that budget. Otherwise the two-stage coloring
+    is built from the same conflict sets: the auxiliary graph is the
+    conflict graph within each star color class, since C1 pairs differ in
+    star color, equal-colored C2 pairs are R1 pairs and equal-colored C3
+    pairs are R2 pairs. The budget and rule counts describe the two-stage
+    construction either way.
     """
     graph = oriented.graph
     if not verify_star(graph, star):
@@ -139,7 +143,6 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColo
     children = list(map(oriented.children, range(graph.n)))
     rule_counts = {}
     in_degrees = [0] * graph.n
-    adjacency = [set() for _ in range(graph.n)]
     conflicts = []
     for x, ps in enumerate(parents):
         cs = children[x]
@@ -149,8 +152,6 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColo
                     if a != b and col[a] == col[b]:
                         rule_counts[rule] = rule_counts.get(rule, 0) + 1
                         in_degrees[a] += 1
-                        adjacency[b].add(a)
-                        adjacency[a].add(b)
         # C1, C2 and C3 keep x apart from its parents and children, the other
         # parents of its children, its grandparents and its grandchildren
         near = {*ps, *cs}
@@ -163,12 +164,12 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColo
         conflicts.append(near)
     if max(in_degrees) > d * (s - 1):
         raise AssertionError("auxiliary digraph in-degree bound violated")
-    tuples = list(zip(col, _degeneracy_greedy(adjacency, 2 * d * s)))
-    del adjacency  # frees the auxiliary sets before the larger greedy below
-    direct = _degeneracy_greedy(conflicts, graph.n)
-    if max(direct) < len(set(tuples)):
-        tuples = direct
-    return _certify(oriented, tuples, 2 * d * s * s, rule_counts)
+    budget = 2 * d * s * s
+    tuples = _degeneracy_greedy(conflicts, graph.n)
+    if max(tuples) > budget:
+        same = [{a for a in near if col[a] == col[x]} for x, near in enumerate(conflicts)]
+        tuples = list(zip(col, _degeneracy_greedy(same, 2 * d * s)))
+    return _certify(oriented, tuples, budget, rule_counts)
 
 
 def out_coloring_from_universal(

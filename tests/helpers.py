@@ -375,9 +375,10 @@ def tuple_key_smallest_last_order(adjacency) -> list:
 
 
 def pair_list_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColoringCertificate:
-    """The two-stage out-coloring of build_out_coloring, with its auxiliary
-    and C1-C3 conflict graphs built as dicts of sets from a list of pairs per
-    vertex and colored by the scan's greedy; unverified, for a valid star
+    """The out-coloring of build_out_coloring, with its auxiliary and C1-C3
+    conflict graphs built as dicts of sets from a list of pairs per vertex
+    and colored by the scan's greedy: the direct coloring unless it is above
+    the 2*d*s*s budget, then the two-stage one; unverified, for a valid star
     coloring only."""
     n, col = oriented.graph.n, star.assign
     d, s = oriented.max_in_degree, star.palette
@@ -406,7 +407,7 @@ def pair_list_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> Out
     assert max(in_degrees) <= d * (s - 1)
     tuples = list(zip(col, scan_degeneracy_greedy(n, adjacency, 2 * d * s)))
     direct = scan_degeneracy_greedy(n, conflicts, n)
-    if max(direct) < len(set(tuples)):
+    if max(direct) <= 2 * d * s * s:
         tuples = direct
     ranks = {t: i + 1 for i, t in enumerate(sorted(set(tuples)))}
     return OutColoringCertificate(VertexColoring(len(ranks), [ranks[t] for t in tuples]), 2 * d * s * s, rule_counts)

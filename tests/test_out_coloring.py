@@ -5,11 +5,12 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from conftest import oriented_graphs, oriented_with_coloring
 from ectarget.coloring import greedy_star_coloring, verify_acyclic, verify_star
-from ectarget.density import min_orientation
+from ectarget import out_coloring
+from ectarget.density import find_orientation, min_orientation
 from ectarget.graphs import EdgeColoredGraph, Graph, OrientedGraph, VertexColoring, smallest_last_order
 from ectarget.out_coloring import (
     TargetNotUniversal,
@@ -24,6 +25,8 @@ from helpers import (
     acceptance_corpus,
     aux_triples,
     clique,
+    each_aux_triple,
+    grid,
     pair_list_out_coloring,
     path,
     random_graph,
@@ -161,6 +164,18 @@ def test_fitted_palette_never_exceeds_the_two_stage_palette_on_the_corpus():
         assert build_out_coloring(og, star).coloring.palette <= two_stage_palette(og, star), name
 
 
+@pytest.mark.parametrize(
+    "graph, d",
+    [pytest.param(stacked_triangulation(n, seed), 3, id=f"tri{n}-{seed}") for n in (30, 100, 300) for seed in range(5)]
+    + [pytest.param(grid(r, c), d, id=f"grid{r}x{c}-d{d}") for r, c in ((4, 4), (6, 9), (12, 12)) for d in (2, 3)],
+)
+def test_palette_at_a_header_in_degree_never_exceeds_the_two_stage_palette(graph, d):
+    # map --target orients at the header's d, not at the least feasible one
+    og = find_orientation(graph, d)
+    star = greedy_star_coloring(graph, seed=0)
+    assert build_out_coloring(og, star).coloring.palette <= two_stage_palette(og, star)
+
+
 @pytest.mark.parametrize("n, seed", [(60, 7), (1500, 4)])
 def test_direct_coloring_fits_triangulations_in_ten_colors(n, seed):
     # the two-stage construction alone needs 17 and 35 colors here
@@ -265,6 +280,67 @@ def test_build_out_coloring_matches_the_pair_list_construction(case):
     assert cert.coloring == reference.coloring
     assert cert.budget == reference.budget
     assert list(cert.rule_counts.items()) == list(reference.rule_counts.items())
+
+
+def aux_adjacency(oriented, star):
+    """The undirected R1/R2 auxiliary graph as a list of neighbor sets."""
+    adjacency = [set() for _ in range(oriented.graph.n)]
+    for _, b, a in each_aux_triple(oriented, star):
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    return adjacency
+
+
+def recording_greedy(monkeypatch, calls, shift_first=0):
+    """Patch out_coloring._degeneracy_greedy to record each adjacency it is
+    given, adding shift_first to every color of the first call's answer."""
+    greedy = out_coloring._degeneracy_greedy
+
+    def record(adjacency, max_colors):
+        colors = greedy(adjacency, max_colors)
+        shift = shift_first if not calls else 0
+        calls.append(adjacency)
+        return [c + shift for c in colors]
+
+    monkeypatch.setattr(out_coloring, "_degeneracy_greedy", record)
+
+
+@given(oriented_with_star())
+@settings(max_examples=300)
+def test_the_auxiliary_graph_is_the_conflict_graph_within_each_star_color(case):
+    oriented, star = case
+    assume(oriented.max_in_degree > 0)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        recording_greedy(mp, calls)
+        build_out_coloring(oriented, star)
+    # the direct coloring fits the budget here (at most 14 vertices, and
+    # 2*d*s*s >= 16 once d >= 2), so one greedy call and no auxiliary sets
+    [conflicts] = calls
+    col = star.assign
+    same = [{a for a in near if col[a] == col[x]} for x, near in enumerate(conflicts)]
+    assert same == aux_adjacency(oriented, star)
+
+
+@given(oriented_with_star())
+@settings(max_examples=200)
+def test_a_direct_coloring_above_the_budget_falls_back_to_the_two_stage_one(case):
+    oriented, star = case
+    assume(oriented.max_in_degree > 0)
+    n, d, s = oriented.graph.n, oriented.max_in_degree, star.palette
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        recording_greedy(mp, calls, shift_first=2 * d * s * s)
+        cert = build_out_coloring(oriented, star)
+    assert len(calls) == 2
+    aux = scan_degeneracy_greedy(n, dict(enumerate(aux_adjacency(oriented, star))), 2 * d * s)
+    tuples = [(star[v], aux[v]) for v in range(n)]
+    ranks = {t: i + 1 for i, t in enumerate(sorted(set(tuples)))}
+    assert cert.coloring == VertexColoring(len(ranks), [ranks[t] for t in tuples])
+    assert cert.budget == 2 * d * s * s
+    reference = pair_list_out_coloring(oriented, star)
+    assert list(cert.rule_counts.items()) == list(reference.rule_counts.items())
+    assert verify_out_coloring(oriented, cert.coloring)
 
 
 # sha256 of the certificate file and the rule_counts repr, recorded from the
