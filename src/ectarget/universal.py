@@ -16,7 +16,8 @@ comes from the same _unrank and _color; no dense tuple is ever built.
 
 The module also hosts the search oracles: fail-first backtracking homomorphism
 search, exhaustive universality checking over all k-edge-colorings of a
-graph, and exhaustive minimum-universal-target search over tiny instances.
+graph, and exhaustive minimum-universal-target search over tiny instances,
+which generates only the least candidate of each symmetry class.
 """
 
 from __future__ import annotations
@@ -126,8 +127,14 @@ class UniversalTarget:
         for a in range(p):
             for b in range(a + 1, p):
                 edges[(a, b)] = color(vs[a], vs[b])
-        graph = Graph._trusted(p, frozenset(edges), sorted_edges=tuple(edges))  # pairs a < b, ascending
-        return EdgeColoredGraph._trusted(graph, self.k, edges)
+        return _explicit(p, self.k, edges)
+
+
+def _explicit(p: int, k: int, edges: dict) -> EdgeColoredGraph:
+    """Edge-colored graph on p vertices from a dict whose pairs a < b ascend,
+    so it is already canonical and the trusted constructors may store it."""
+    graph = Graph._trusted(p, frozenset(edges), sorted_edges=tuple(edges))
+    return EdgeColoredGraph._trusted(graph, k, edges)
 
 
 def build_universal(q: int, d: int, k: int, limits: Limits = LIMITS) -> UniversalTarget:
@@ -316,31 +323,46 @@ def check_universal(
     return None
 
 
-def _restricted_growth(length: int, k: int):
-    """Lazily, in lexicographic order, the words over 0..k whose colors 1..k
-    first appear in increasing order: one per orbit of the color maps."""
-    if length == 0:
-        yield ()
-        return
-    for head in _restricted_growth(length - 1, k):
-        for x in range(min(max(head, default=0) + 1, k) + 1):
-            yield head + (x,)
+def _canonical_words(length: int, k: int, vertex_maps):
+    """Lazily, in lexicographic order, each word over 0..k that no vertex map,
+    its colors then relabeled in order of first appearance, makes smaller.
 
+    Orderly generation (Read 1978): a depth-first walk over the words whose
+    colors first appear in increasing order. Each prefix keeps the maps still
+    tied with it, with the next image position j to compare and the relabeling
+    so far (-1 for a color not yet seen). Image position j is fixed once
+    assign[vmap[:j + 1]] is: a smaller one prunes the subtree, a larger one drops the map.
+    """
+    assign = [0] * length
 
-def _canonical(assign, vertex_maps: list) -> bool:
-    """True iff no vertex map, its colors then relabeled in order of first
-    appearance (its least color map), makes assign lexicographically smaller.
-    A map that refutes assign moves to the front; the order never changes the answer."""
-    for i, vmap in enumerate(vertex_maps):
-        relabel = {0: 0}
-        for j, slot in enumerate(vmap):
-            x = relabel.setdefault(assign[slot], len(relabel))
-            if x != assign[j]:
-                if x < assign[j]:
-                    vertex_maps.insert(0, vertex_maps.pop(i))
-                    return False
-                break
-    return True
+    def grow(t, tied, top):
+        if t == length:
+            yield tuple(assign)
+            return
+        for x in range(min(top + 1, k) + 1):
+            assign[t] = x
+            still = []
+            for entry in tied:
+                vmap, j, relabel, labels = entry
+                while j <= t and vmap[j] <= t:
+                    c = assign[vmap[j]]
+                    y = relabel[c]
+                    if y < 0:
+                        labels = y = labels + 1
+                        relabel = relabel[:c] + (y,) + relabel[c + 1:]
+                    if y != assign[j]:
+                        break
+                    j += 1
+                else:  # still tied: a map with no new position keeps its entry
+                    still.append(entry if j == entry[1] else (vmap, j, relabel, labels))
+                    continue
+                if y < assign[j]:
+                    break
+            else:
+                yield from grow(t + 1, still, max(top, x))
+
+    start = (0,) + (-1,) * min(k, length)  # a word has at most min(k, length) colors
+    yield from grow(0, [(vmap, 0, start, 0) for vmap in vertex_maps], 0)
 
 
 def min_universal_size(
@@ -351,13 +373,13 @@ def min_universal_size(
 ) -> tuple[int, EdgeColoredGraph] | None:
     """Smallest universal target for a list of graphs, by exhaustive search.
 
-    Tries every k-edge-colored target on p = 1, 2, ... vertices (one
-    representative per vertex/color symmetry class) until one admits all
-    k-edge-colorings of every listed graph, and returns (p, target). Returns
-    None when no target with at most p_max vertices works. Tiny instances
-    only; p_max above limits.min_target_p is refused. Each graph keeps the
-    counterexamples its full checks returned, newest first, and a candidate
-    meets them before the graph's next full check.
+    Tries every k-edge-colored target on p = 1, 2, ... vertices (the least
+    word of each vertex/color symmetry class, from _canonical_words) until
+    one admits all k-edge-colorings of every listed graph, and returns
+    (p, target). Returns None when no target with at most p_max vertices
+    works. Tiny instances only; p_max above limits.min_target_p is refused.
+    Each graph keeps the counterexamples its full checks returned, newest
+    first, and a candidate meets them before the graph's next full check.
     """
     if k < 2:
         raise ValueError(f"edge palette must satisfy k >= 2, got {k}")
@@ -371,16 +393,12 @@ def min_universal_size(
     for p in range(1, p_max + 1):
         pairs = list(itertools.combinations(range(p), 2))
         pair_index = {pair: i for i, pair in enumerate(pairs)}
-        vertex_maps = []
-        for perm in itertools.permutations(range(p)):
-            vertex_maps.append(
-                tuple(pair_index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs)
-            )
-        for assign in _restricted_growth(len(pairs), k):
-            if not _canonical(assign, vertex_maps):
-                continue
-            edges = {pairs[i]: c for i, c in enumerate(assign) if c}
-            candidate = EdgeColoredGraph(Graph(p, edges.keys()), k, edges)
+        vertex_maps = [
+            tuple(pair_index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs)
+            for perm in itertools.permutations(range(p))
+        ]
+        for assign in _canonical_words(len(pairs), k, vertex_maps):
+            candidate = _explicit(p, k, {pairs[i]: c for i, c in enumerate(assign) if c})
             for g, seen in zip(graphs, refuted):
                 if any(find_homomorphism(c, candidate, limits) is None for c in seen):
                     break

@@ -13,8 +13,9 @@ pairs with the scan's greedy, star colorings by
 enumerating 4-vertex paths, the greedy and exact star colorings by walking
 three steps out from each vertex for every candidate color, homomorphisms by
 a search over a static degree order, universality by searching every
-coloring from scratch, and minimum targets by checking every candidate in
-full against every graph.
+coloring from scratch, and minimum targets by testing every restricted-growth
+word for canonicity on its own and checking every candidate in full against
+every graph.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ectarget.graphs import (
     VertexColoring,
 )
 from ectarget.out_coloring import OutColoringCertificate
-from ectarget.universal import _canonical, _restricted_growth, _search_target
+from ectarget.universal import _search_target
 
 
 @contextlib.contextmanager
@@ -688,6 +689,33 @@ def memoryless_check_universal(target, graph: Graph, k: int, limits: Limits = LI
         if static_order_homomorphism(colored, target, limits) is None:
             return colored
     return None
+
+
+def _restricted_growth(length: int, k: int):
+    """Lazily, in lexicographic order, the words over 0..k whose colors 1..k
+    first appear in increasing order: one per orbit of the color maps."""
+    if length == 0:
+        yield ()
+        return
+    for head in _restricted_growth(length - 1, k):
+        for x in range(min(max(head, default=0) + 1, k) + 1):
+            yield head + (x,)
+
+
+def _canonical(assign, vertex_maps: list) -> bool:
+    """True iff no vertex map, its colors then relabeled in order of first
+    appearance (its least color map), makes assign lexicographically smaller.
+    A map that refutes assign moves to the front; the order never changes the answer."""
+    for i, vmap in enumerate(vertex_maps):
+        relabel = {0: 0}
+        for j, slot in enumerate(vmap):
+            x = relabel.setdefault(assign[slot], len(relabel))
+            if x != assign[j]:
+                if x < assign[j]:
+                    vertex_maps.insert(0, vertex_maps.pop(i))
+                    return False
+                break
+    return True
 
 
 def memoryless_min_universal_size(graphs, k: int = 2, p_max: int = 3, limits: Limits = LIMITS):

@@ -23,8 +23,7 @@ from ectarget.graphs import (
 )
 from ectarget.out_coloring import build_out_coloring, out_coloring_from_universal
 from ectarget.universal import (
-    _canonical,
-    _restricted_growth,
+    _canonical_words,
     build_homomorphism,
     build_universal,
     check_universal,
@@ -34,6 +33,8 @@ from ectarget.universal import (
 )
 from helpers import (
     DenseTupleOrder,
+    _canonical,
+    _restricted_growth,
     clique,
     cycle,
     dense_rank,
@@ -556,48 +557,58 @@ def test_check_universal_guard():
         check_universal(tgt, g, 2, Limits(colorings=100))
 
 
-@pytest.mark.parametrize("p, k", [(1, 5), (2, 2), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
-def test_min_target_candidates_are_the_least_word_of_each_class(p, k):
-    # brute force over every word and every vertex and color map
+def pair_maps(p: int) -> tuple[int, list]:
+    """The number of vertex pairs, and each vertex permutation as a map of pair slots."""
     pairs = list(itertools.combinations(range(p), 2))
     index = {pair: i for i, pair in enumerate(pairs)}
-    vertex_maps = [
+    return len(pairs), [
         tuple(index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs)
         for perm in itertools.permutations(range(p))
     ]
+
+
+@pytest.mark.parametrize("p, k", [(1, 5), (2, 2), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
+def test_min_target_candidates_are_the_least_word_of_each_class(p, k):
+    # brute force over every word and every vertex and color map
+    length, vertex_maps = pair_maps(p)
     color_maps = [(0, *perm) for perm in itertools.permutations(range(1, k + 1))]
     least = {
         min(tuple(cmap[word[slot]] for slot in vmap) for vmap in vertex_maps for cmap in color_maps)
-        for word in itertools.product(range(k + 1), repeat=len(pairs))
+        for word in itertools.product(range(k + 1), repeat=length)
     }
-    candidates = [w for w in _restricted_growth(len(pairs), k) if _canonical(w, vertex_maps)]
-    assert candidates == sorted(least)
+    assert list(_canonical_words(length, k, vertex_maps)) == sorted(least)
 
 
 @pytest.mark.parametrize("p, k", [(3, 3), (4, 2), (4, 3)])
 def test_canonical_ignores_the_order_of_the_vertex_maps(p, k):
-    pairs = list(itertools.combinations(range(p), 2))
-    index = {pair: i for i, pair in enumerate(pairs)}
-    vertex_maps = [
-        tuple(index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs)
-        for perm in itertools.permutations(range(p))
-    ]
-    words = list(_restricted_growth(len(pairs), k))
-    decisions = [_canonical(w, list(vertex_maps)) for w in words]
+    length, vertex_maps = pair_maps(p)
+    words = list(_canonical_words(length, k, vertex_maps))
     rng = random.Random(p * 10 + k)
-    shuffled = [rng.sample(vertex_maps, len(vertex_maps)) for _ in range(3)]
-    for maps in shuffled:
-        assert [_canonical(w, maps) for w in words] == decisions
-        assert sorted(maps) == sorted(vertex_maps)
+    for _ in range(3):
+        assert list(_canonical_words(length, k, rng.sample(vertex_maps, len(vertex_maps)))) == words
 
 
-def min_target_lists(count: int, seed: int):
-    """Seeded (graphs, k, p_max): one to three graphs of up to 4 vertices."""
+# canonical words on p vertices with k colors, by p, for k = 2, 3, 4, 5
+CANONICAL_WORD_COUNTS = {1: (1, 1, 1, 1), 2: (2, 2, 2, 2), 3: (6, 7, 7, 7), 4: (36, 64, 77, 80), 5: (406, 1908, 4317)}
+
+
+@pytest.mark.parametrize("p, k", [(p, k) for p, counts in CANONICAL_WORD_COUNTS.items() for k in range(2, 2 + len(counts))])
+def test_canonical_words_match_the_reference_in_order(p, k):
+    length, vertex_maps = pair_maps(p)
+    words = list(_canonical_words(length, k, vertex_maps))
+    assert len(words) == CANONICAL_WORD_COUNTS[p][k - 2]
+    if p <= 4 or k <= 3:  # the reference tests every restricted-growth word on its own
+        assert words == [w for w in _restricted_growth(length, k) if _canonical(w, list(vertex_maps))]
+
+
+def min_target_lists(count: int, seed: int, k: int | None = None, p_max: int | None = None):
+    """Seeded (graphs, k, p_max): one to three graphs of up to 4 vertices,
+    with k and p_max drawn where they are not given."""
     rng = random.Random(seed)
     for _ in range(count):
-        k = rng.choice((2, 3))
+        kk = k or rng.choice((2, 3))
         graphs = [random_graph(rng.randint(1, 4), rng.uniform(0.2, 0.9), rng) for _ in range(rng.randint(1, 3))]
-        yield graphs, k, rng.randint(1, 4 if k == 2 else 3)
+        yield graphs, kk, p_max or rng.randint(1, 4 if kk == 2 else 3)
 
 
 def test_min_universal_size_agrees_with_the_memoryless_reference():
@@ -607,6 +618,44 @@ def test_min_universal_size_agrees_with_the_memoryless_reference():
         assert result == memoryless_min_universal_size(graphs, k, p_max)
         sizes.add(None if result is None else result[0])
     assert sizes == {None, 1, 3, 4}
+
+
+@pytest.mark.parametrize("k, p_max, seed, sizes", [(2, 5, 23, {None, 1, 3, 4, 5}), (3, 4, 24, {None, 1, 3, 4})])
+def test_min_universal_size_agrees_with_the_reference_on_larger_targets(k, p_max, seed, sizes):
+    found = set()
+    for graphs, _, _ in min_target_lists(20, seed, k, p_max):
+        result = min_universal_size(graphs, k, p_max)
+        assert result == memoryless_min_universal_size(graphs, k, p_max)
+        found.add(None if result is None else result[0])
+    assert found == sizes
+
+
+def test_min_universal_size_replays_a_counterexample_under_the_search_guards(monkeypatch):
+    # the first search at p = 3 replays, through find_homomorphism, the
+    # counterexample that refuted the last 2-vertex candidate, so the target
+    # guard is met before any full check
+    checked, replayed = [], []
+    check, find = ectarget.universal.check_universal, ectarget.universal.find_homomorphism
+
+    def check_spy(target, *rest):
+        checked.append(target.graph.n)
+        return check(target, *rest)
+
+    def search_spy(source, target, *rest):
+        replayed.append(target.graph.n)
+        return find(source, target, *rest)
+
+    monkeypatch.setattr(ectarget.universal, "check_universal", check_spy)
+    monkeypatch.setattr(ectarget.universal, "find_homomorphism", search_spy)
+    graphs, limits = [Graph(2, [(0, 1)])], Limits(search_target_n=2)
+    messages = []
+    for search in (min_universal_size, memoryless_min_universal_size):
+        with pytest.raises(GuardExceeded, match="search_target_n") as raised:
+            search(graphs, 2, 3, limits)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1] == "search target of 3 vertices exceeds the limit search_target_n=2"
+    assert checked == [1, 2]
+    assert replayed[-1] == 3
 
 
 @pytest.mark.parametrize(
