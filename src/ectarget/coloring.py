@@ -15,13 +15,13 @@ import random
 from .graphs import LIMITS, Graph, Limits, VertexColoring
 
 
-def _is_proper(graph: Graph, coloring: VertexColoring) -> bool:
-    return all(coloring[u] != coloring[v] for u, v in graph.edges)
+def _is_proper(graph: Graph, col: tuple) -> bool:
+    return all(col[u] != col[v] for u, v in graph.edges)
 
 
 def verify_acyclic(graph: Graph, coloring: VertexColoring) -> bool:
     """True iff the coloring is proper and every bicolored subgraph is a forest."""
-    if len(coloring) != graph.n or not _is_proper(graph, coloring):
+    if len(coloring) != graph.n or not _is_proper(graph, coloring.assign):
         return False
     groups = {}
     for u, v in graph.sorted_edges:
@@ -55,9 +55,9 @@ def verify_star(graph: Graph, coloring: VertexColoring) -> bool:
     among the neighbors of c, so one pass over each vertex's neighbors
     decides it in O(n + m).
     """
-    if len(coloring) != graph.n or not _is_proper(graph, coloring):
-        return False
     col = coloring.assign
+    if len(col) != graph.n or not _is_proper(graph, col):
+        return False
     repeats = []
     for v in range(graph.n):
         seen, repeated = set(), set()

@@ -128,12 +128,11 @@ def _smallest_last_start(graph: Graph) -> tuple[list, list]:
     """The head of each sorted edge, the endpoint that smallest-last order
     removes first (Matula-Beck 1983), and the in-degrees this gives, none
     above the degeneracy."""
-    n = graph.n
-    rank = [0] * n
-    for i, v in enumerate(smallest_last_order([graph.neighbors(v) for v in range(n)])):
+    rank = [0] * graph.n
+    for i, v in enumerate(smallest_last_order(graph._adjacency)):
         rank[v] = i
     heads = [u if rank[u] < rank[v] else v for u, v in graph.sorted_edges]
-    in_degree = [0] * n
+    in_degree = [0] * graph.n
     for head in heads:
         in_degree[head] += 1
     return heads, in_degree

@@ -152,30 +152,31 @@ class Graph(Value):
 def smallest_last_order(adjacency) -> list:
     """Vertices in smallest-last removal order (Matula-Beck 1983).
 
-    adjacency[v] holds the (deduplicated, undirected) neighbors of vertex v,
-    for every v in 0..len(adjacency)-1. Each step removes the remaining
-    vertex of least (degree, id), so a vertex has at most the degeneracy
-    neighbors removed after it. A lazy heap of keys degree * n + id finds it
-    in O((n + m) log n): a degree only falls, and each fall pushes a new
-    entry, so an entry is stale when it no longer holds its vertex's degree.
+    adjacency[v] holds the (deduplicated, undirected) neighbors of vertex v.
+    Each step removes the remaining vertex of least (degree, id), so a vertex
+    has at most the degeneracy neighbors removed after it. It is popped from
+    one heap of ids per degree, in O((n + m) log n) overall: a degree fall
+    pushes the id one bucket down and leaves a stale entry (a removed vertex
+    has degree -1), and each removal lowers the least degree by at most one.
     """
-    n = len(adjacency)
     degree = [len(a) for a in adjacency]
-    heap = [deg * n + v for v, deg in enumerate(degree)]
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
-    removed = [False] * n
-    removal = []
-    while heap:
-        deg, v = divmod(pop(heap), n)
-        if deg != degree[v]:
-            continue
-        removed[v] = True
+    buckets = [[] for _ in range(max(degree, default=0) + 1)]
+    for v, deg in enumerate(degree):
+        buckets[deg].append(v)  # ascending ids: already a heap
+    removal, low = [], 0
+    for _ in degree:
+        while True:
+            while not buckets[low]:
+                low += 1
+            if degree[v := heapq.heappop(buckets[low])] == low:
+                break
+        degree[v] = -1
         removal.append(v)
         for u in adjacency[v]:
-            if not removed[u]:
-                degree[u] -= 1
-                push(heap, degree[u] * n + u)
+            if (deg := degree[u]) > 0:
+                degree[u] = deg - 1
+                heapq.heappush(buckets[deg - 1], u)
+        low = low - 1 if low else 0  # v had the least degree
     return removal
 
 

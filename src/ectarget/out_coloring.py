@@ -139,19 +139,21 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColo
     s, col = star.palette, star.assign
     if d == 0:
         return _certify(oriented, [()] * graph.n, 1, {})
-    parents = list(map(oriented.parents, range(graph.n)))
-    children = list(map(oriented.children, range(graph.n)))
+    parents, children = oriented._parents, oriented._children
     rule_counts = {}
     in_degrees = [0] * graph.n
     conflicts = []
     for x, ps in enumerate(parents):
         cs = children[x]
-        for rule, heads in (("R1", ps), ("R2", cs)):
-            for b in ps:
-                for a in heads:
-                    if a != b and col[a] == col[b]:
-                        rule_counts[rule] = rule_counts.get(rule, 0) + 1
-                        in_degrees[a] += 1
+        # R1 fires tally[c] - 1 times at each parent of star color c, R2 tally[c] at each child
+        tally = {}
+        for b in ps:
+            tally[col[b]] = tally.get(col[b], 0) + 1
+        for rule, heads, self_pair in (("R1", ps, 1), ("R2", cs, 0)):
+            for a in heads:
+                if times := tally.get(col[a], 0) - self_pair:
+                    rule_counts[rule] = rule_counts.get(rule, 0) + times
+                    in_degrees[a] += times
         # C1, C2 and C3 keep x apart from its parents and children, the other
         # parents of its children, its grandparents and its grandchildren
         near = {*ps, *cs}

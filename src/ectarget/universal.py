@@ -123,10 +123,7 @@ class UniversalTarget:
         self.limits.check("explicit_vertices", p, f"explicit target with {p} vertices")
         vs = [self._unrank(i) for i in range(p)]
         color = self._color
-        edges = {}
-        for a in range(p):
-            for b in range(a + 1, p):
-                edges[(a, b)] = color(vs[a], vs[b])
+        edges = {(a, b): color(vs[a], vs[b]) for a in range(p) for b in range(a + 1, p)}
         return _explicit(p, self.k, edges)
 
 
@@ -173,11 +170,11 @@ def build_homomorphism(
         raise ValueError(
             f"orientation in-degree {oriented.max_in_degree} exceeds target d={target.d}"
         )
-    k = target.k
+    k, col, color = target.k, out_col.assign, source.color
     images = []
-    for u in range(graph.n):
-        coords = sorted((out_col[parent], source.edge_color(u, parent)) for parent in oriented.parents(u))
-        images.append(target._rank(out_col[u], [(p, x) for p, x in coords if x != k]))
+    for u, parents in enumerate(oriented._parents):
+        coords = sorted((col[w], color[(w, u) if w < u else (u, w)]) for w in parents)
+        images.append(target._rank(col[u], [(p, x) for p, x in coords if x != k]))
     return Homomorphism(images)
 
 
@@ -195,8 +192,8 @@ def verify_homomorphism(source: EdgeColoredGraph, target, hom: Homomorphism) -> 
     if isinstance(target, UniversalTarget):
         ids, color = hom.mapping, target._color
         sparse = [target._unrank(i) for i in ids]
-        for u, v in graph.edges:
-            if ids[u] == ids[v] or color(sparse[u], sparse[v]) != source.edge_color(u, v):
+        for (u, v), c in source.color.items():
+            if ids[u] == ids[v] or color(sparse[u], sparse[v]) != c:
                 return False
         return True
     for i in hom.mapping:
@@ -204,9 +201,9 @@ def verify_homomorphism(source: EdgeColoredGraph, target, hom: Homomorphism) -> 
             raise ValueError(f"image {i} is not a target vertex id")
     # a pair that is no target edge, a loop included, has no color
     tcolor = target.color
-    for u, v in graph.edges:
+    for (u, v), c in source.color.items():
         hu, hv = hom[u], hom[v]
-        if tcolor.get((hu, hv) if hu < hv else (hv, hu)) != source.edge_color(u, v):
+        if tcolor.get((hu, hv) if hu < hv else (hv, hu)) != c:
             return False
     return True
 

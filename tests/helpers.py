@@ -7,9 +7,9 @@ existence by pruned exhaustive assignment, star validity by the
 every-bicolored-component-is-a-star characterization, out-colorings as
 in-colorings of the transpose, tuple-target ids by a walk over every
 coordinate and letter, tuple-target edge colors on dense tuples,
-smallest-last order by a scan of every remaining vertex and by a heap keyed
-on (degree, id) tuples, the two-stage out-coloring from a list of conflict
-pairs with the scan's greedy, star colorings by
+smallest-last order by a scan of every remaining vertex and by one heap of
+(degree, id) tuples in place of degree buckets, the two-stage out-coloring
+from a list of conflict pairs with the scan's greedy, star colorings by
 enumerating 4-vertex paths, the greedy and exact star colorings by walking
 three steps out from each vertex for every candidate color, homomorphisms by
 a search over a static degree order, universality by searching every
@@ -356,7 +356,7 @@ def scan_degeneracy_greedy(n: int, adjacency: dict, max_colors: int) -> list:
 
 def tuple_key_smallest_last_order(adjacency) -> list:
     """Smallest-last removal order from a lazy heap of (degree, id) tuples:
-    the reference for the library's heap of one-integer keys."""
+    the reference for the library's buckets of vertex ids, one per degree."""
     degree = [len(a) for a in adjacency]
     heap = [(deg, v) for v, deg in enumerate(degree)]
     heapq.heapify(heap)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -262,6 +263,60 @@ def test_smallest_last_order_matches_the_tuple_key_heap_on_ties(n):
                 adjacency[label[u]].add(label[v])
                 adjacency[label[v]].add(label[u])
             assert smallest_last_order(adjacency) == tuple_key_smallest_last_order(adjacency)
+
+
+def graph_adjacency(g):
+    adjacency = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return adjacency
+
+
+def path_and_k6(path_first):
+    """A 5-vertex path and a disjoint K6: once the path is gone the least
+    degree jumps from 0 to 5, so the search climbs five empty buckets."""
+    path_at, clique_at = (0, 5) if path_first else (6, 0)
+    edges = [(path_at + i, path_at + i + 1) for i in range(4)]
+    edges += [(clique_at + u, clique_at + v) for u, v in combinations(range(6), 2)]
+    return graph_adjacency(Graph(11, edges))
+
+
+@pytest.mark.parametrize(
+    "adjacency",
+    [
+        [],
+        [set() for _ in range(6)],
+        graph_adjacency(Graph(8, [(0, v) for v in range(1, 8)])),
+        graph_adjacency(Graph(8, [(7, v) for v in range(7)])),
+        path_and_k6(path_first=True),
+        path_and_k6(path_first=False),
+    ],
+    ids=["empty", "isolated", "star-center-first", "star-center-last", "path-then-k6", "k6-then-path"],
+)
+def test_smallest_last_order_matches_the_tuple_key_heap_on_edge_cases(adjacency):
+    assert smallest_last_order(adjacency) == tuple_key_smallest_last_order(adjacency)
+
+
+def test_smallest_last_order_keeps_a_few_words_per_vertex_and_edge(monkeypatch):
+    """Buckets hold ids that already exist, one list slot per entry. The
+    tuple-key heap's tuples come from the interpreter's free list, which
+    tracemalloc does not see, so the bound is absolute: a heap allocating
+    one fresh int key per entry (about 60 KiB here) does not fit under it."""
+    g = stacked_triangulation(220, 0)
+    calls = []
+    recording_greedy(monkeypatch, calls)
+    build_out_coloring(find_orientation(g, 3), greedy_star_coloring(g))
+    [conflicts] = calls
+    entries = len(conflicts) + sum(map(len, conflicts)) // 2
+    tracemalloc.start()
+    try:
+        order = smallest_last_order(conflicts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order == tuple_key_smallest_last_order(conflicts)
+    assert peak <= 24 * entries
 
 
 @st.composite
