@@ -19,16 +19,21 @@ def _is_proper(graph: Graph, col: tuple) -> bool:
     return all(col[u] != col[v] for u, v in graph.edges)
 
 
+def _color_pair_groups(graph: Graph, col: tuple) -> dict:
+    """The edges of each bicolored subgraph, in edge order, keyed by the
+    ascending pair of its two colors."""
+    groups = {}
+    for u, v in graph.edges:
+        cu, cv = col[u], col[v]
+        groups.setdefault((cu, cv) if cu < cv else (cv, cu), []).append((u, v))
+    return groups
+
+
 def verify_acyclic(graph: Graph, coloring: VertexColoring) -> bool:
     """True iff the coloring is proper and every bicolored subgraph is a forest."""
     if len(coloring) != graph.n or not _is_proper(graph, coloring.assign):
         return False
-    groups = {}
-    for u, v in graph.sorted_edges:
-        cu, cv = coloring[u], coloring[v]
-        pair = (cu, cv) if cu < cv else (cv, cu)
-        groups.setdefault(pair, []).append((u, v))
-    for edges in groups.values():
+    for edges in _color_pair_groups(graph, coloring.assign).values():
         parent = {}
 
         def find(x):
@@ -59,15 +64,15 @@ def verify_star(graph: Graph, coloring: VertexColoring) -> bool:
     if len(col) != graph.n or not _is_proper(graph, col):
         return False
     repeats = []
-    for v in range(graph.n):
+    for nbrs in graph.adjacency:
         seen, repeated = set(), set()
-        for u in graph.neighbors(v):
+        for u in nbrs:
             (repeated if col[u] in seen else seen).add(col[u])
         repeats.append(repeated)
     return not any(col[c] in repeats[b] and col[b] in repeats[c] for b, c in graph.edges)
 
 
-def _forbidden(graph: Graph, tables: list, v: int) -> int:
+def _forbidden(adjacency: tuple, tables: list, v: int) -> int:
     """Bitmask of the colors the uncolored vertex v may not take, bit c for
     color c and bit 0 (no color) always set. The tables are assign (0 while
     uncolored) and the masks once[y] and twice[y], the colors on at least one
@@ -81,7 +86,7 @@ def _forbidden(graph: Graph, tables: list, v: int) -> int:
     assign, once, twice, far = tables
     around = twice[v]
     forbidden = 1 | once[v]
-    for w in graph.neighbors(v):
+    for w in adjacency[v]:
         cw = assign[w]
         if cw:
             forbidden |= far[w]
@@ -90,13 +95,13 @@ def _forbidden(graph: Graph, tables: list, v: int) -> int:
     return forbidden
 
 
-def _assign(graph: Graph, tables: list, v: int, c: int) -> None:
+def _assign(adjacency: tuple, tables: list, v: int, c: int) -> None:
     """Color the uncolored vertex v with c and bring the tables up to date."""
     assign, once, twice, far = tables
     bit = 1 << c
     around = twice[v]
     assign[v] = c
-    for y in graph.neighbors(v):
+    for y in adjacency[v]:
         seen = once[y] & bit
         second = seen & ~twice[y]  # c has just entered twice[y]
         once[y] |= bit
@@ -108,7 +113,7 @@ def _assign(graph: Graph, tables: list, v: int, c: int) -> None:
             far[v] |= 1 << cy
         if second:
             # the one other neighbor of y colored c gains col(y) too
-            far[next(x for x in graph.neighbors(y) if x != v and assign[x] == c)] |= 1 << cy
+            far[next(x for x in adjacency[y] if x != v and assign[x] == c)] |= 1 << cy
         if around >> cy & 1:
             far[y] |= bit
 
@@ -120,19 +125,20 @@ def exact_star_coloring(graph: Graph, c_max: int, limits: Limits = LIMITS) -> Ve
     failed color; refuses graphs above limits.exact_coloring_n.
     """
     limits.check("exact_coloring_n", graph.n, f"exact star coloring of n={graph.n}")
-    order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+    adjacency = graph.adjacency
+    order = sorted(range(graph.n), key=lambda v: (-len(adjacency[v]), v))
     tables = assign, once, twice, far = [[0] * graph.n for _ in range(4)]
 
     def rec(pos: int, used: int) -> bool:
         if pos == graph.n:
             return True
         v = order[pos]
-        forbidden = _forbidden(graph, tables, v)
+        forbidden = _forbidden(adjacency, tables, v)
         saved = once[:], twice[:], far[:]
         # new colors are tried in first-use order, which loses no solutions
         for c in range(1, min(used + 1, c_max) + 1):
             if not forbidden >> c & 1:
-                _assign(graph, tables, v, c)
+                _assign(adjacency, tables, v, c)
                 if rec(pos + 1, max(used, c)):
                     return True
                 assign[v] = 0
@@ -157,9 +163,10 @@ def greedy_star_coloring(graph: Graph, seed: int = 0) -> VertexColoring:
     rng = random.Random(seed)
     order = list(range(graph.n))
     rng.shuffle(order)
-    order.sort(key=lambda v: -graph.degree(v))
+    adjacency = graph.adjacency
+    order.sort(key=lambda v: -len(adjacency[v]))
     tables = assign, once, twice, far = [[0] * graph.n for _ in range(4)]
     for v in order:
-        forbidden = _forbidden(graph, tables, v)
-        _assign(graph, tables, v, (~forbidden & (forbidden + 1)).bit_length() - 1)
+        forbidden = _forbidden(adjacency, tables, v)
+        _assign(adjacency, tables, v, (~forbidden & (forbidden + 1)).bit_length() - 1)
     return VertexColoring(max(assign), assign)

@@ -19,7 +19,7 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from .coloring import verify_acyclic
+from .coloring import _color_pair_groups, verify_acyclic
 from .graphs import Graph, OrientedGraph, Value, VertexColoring, smallest_last_order
 
 class OrientationInfeasible(Exception):
@@ -125,17 +125,17 @@ class _Dinic:
 
 
 def _smallest_last_start(graph: Graph) -> tuple[list, list]:
-    """The head of each sorted edge, the endpoint that smallest-last order
+    """The head of each edge, the endpoint that smallest-last order
     removes first (Matula-Beck 1983), and the in-degrees this gives, none
     above the degeneracy."""
     rank = [0] * graph.n
-    for i, v in enumerate(smallest_last_order(graph._adjacency)):
+    for i, v in enumerate(smallest_last_order(graph.adjacency)):
         rank[v] = i
-    heads = [u if rank[u] < rank[v] else v for u, v in graph.sorted_edges]
-    in_degree = [0] * graph.n
+    heads = [u if rank[u] < rank[v] else v for u, v in graph.edges]
+    in_degrees = [0] * graph.n
     for head in heads:
-        in_degree[head] += 1
-    return heads, in_degree
+        in_degrees[head] += 1
+    return heads, in_degrees
 
 
 def _load_flow(graph: Graph, start: tuple[list, list], bound: Fraction) -> tuple[_Dinic, list, list]:
@@ -147,15 +147,15 @@ def _load_flow(graph: Graph, start: tuple[list, list], bound: Fraction) -> tuple
     to sink n + 1, and an arc head -> tail of capacity den moves units across
     the edge. A cut around a vertex set S costs the total excess minus
     den * |E(S)| - num * |S|, so the min cuts are the sets maximizing that.
-    Returns the network, the arc of each sorted edge, and the least such set,
+    Returns the network, the arc of each edge, and the least such set,
     the residual reach of the source, which is empty exactly when no
     subgraph is denser than bound.
     """
     num, den = bound.numerator, bound.denominator
-    heads, in_degree = start
+    heads, in_degrees = start
     net, src, sink = _Dinic(graph.n + 2), graph.n, graph.n + 1
     excess = 0
-    for v, deg in enumerate(in_degree):
+    for v, deg in enumerate(in_degrees):
         over = deg * den - num
         if over > 0:
             net.add_edge(src, v, over)
@@ -163,7 +163,7 @@ def _load_flow(graph: Graph, start: tuple[list, list], bound: Fraction) -> tuple
         elif over < 0:
             net.add_edge(v, sink, -over)
     arcs = []
-    for (u, v), head in zip(graph.sorted_edges, heads):
+    for (u, v), head in zip(graph.edges, heads):
         net.add_edge(head, u + v - head, den)
         arcs.append(net.adj[head][-1])
     beyond = net.max_flow(src, sink) < excess
@@ -212,8 +212,8 @@ def find_orientation(graph: Graph, d: int) -> OrientedGraph:
     """
     if d < 0:
         raise ValueError(f"in-degree bound must be nonnegative, got {d}")
-    start = heads, in_degree = _smallest_last_start(graph)
-    if max(in_degree) > d:
+    start = heads, in_degrees = _smallest_last_start(graph)
+    if max(in_degrees) > d:
         _, arcs, witness = _load_flow(graph, start, Fraction(d))
         if witness:
             # the reach is closed under parents once the flow is applied, and
@@ -223,9 +223,8 @@ def find_orientation(graph: Graph, d: int) -> OrientedGraph:
             raise OrientationInfeasible(d, tuple(witness))
         # a saturated arc head -> tail was reversed: its tail is the new head
         heads = [arc[0] if arc[1] == 0 else head for arc, head in zip(arcs, heads)]
-    edges = graph.sorted_edges
-    direction = {(u, v): (v, u) if head == u else (u, v) for (u, v), head in zip(edges, heads)}
-    return OrientedGraph._trusted(graph, direction)  # canonical: sorted edge order
+    direction = {(u, v): (v, u) if head == u else (u, v) for (u, v), head in zip(graph.edges, heads)}
+    return OrientedGraph._trusted(graph, direction)  # canonical: edge order
 
 
 def min_orientation(graph: Graph) -> tuple[int, OrientedGraph]:
@@ -253,11 +252,7 @@ def orientation_from_acyclic(graph: Graph, coloring: VertexColoring) -> Oriented
         raise ValueError("coloring must assign a color to every vertex")
     if not verify_acyclic(graph, coloring):
         raise ValueError("coloring failed acyclic verification")
-    groups = {}
-    for u, v in graph.sorted_edges:
-        cu, cv = coloring[u], coloring[v]
-        pair = (cu, cv) if cu < cv else (cv, cu)
-        groups.setdefault(pair, []).append((u, v))
+    groups = _color_pair_groups(graph, coloring.assign)
     direction = {}
     for pair in sorted(groups):
         adj = {}

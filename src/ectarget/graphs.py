@@ -1,9 +1,12 @@
 """Immutable graph types and the shared text formats.
 
-Vertices are dense integer ids ``0..n-1``; edges are unordered pairs stored
-as ``(u, v)`` with ``u < v``; edge colors are 1-based, so a k-edge-colored
-graph uses colors ``1..k``. All types are frozen after construction, by the
-small ``Value`` base below, and can be shared freely across threads.
+Vertices are dense integer ids ``0..n-1``; edge colors are 1-based, so a
+k-edge-colored graph uses colors ``1..k``. A ``Graph`` holds its edges as one
+ascending tuple of pairs ``(u, v)`` with ``u < v``, whose order the color and
+direction maps follow; ``Graph.adjacency``, ``OrientedGraph.parents`` and
+``OrientedGraph.children`` hold one ascending tuple of ids per vertex, built
+on first use. All types are frozen after construction, by the small ``Value``
+base below, and can be shared freely across threads.
 
 Text format (UTF-8, LF newlines): first line ``n m k``, then ``m`` lines
 ``u v c`` with ``u != v``, both in ``0..n-1``, in either order, each edge
@@ -79,10 +82,10 @@ class Value:
         vars(self).update(zip(names, args), **kwargs)  # past the frozen __setattr__
 
     @classmethod
-    def _trusted(cls, *values, **cached):
-        """A record of canonical field values (and cached_property values), unchecked."""
+    def _trusted(cls, *values):
+        """A record of canonical field values, unchecked."""
         self = object.__new__(cls)
-        vars(self).update(zip(cls._fields, values), **cached)
+        vars(self).update(zip(cls._fields, values))
         return self
 
     def _values(self) -> tuple:
@@ -117,36 +120,28 @@ class Graph(Value):
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
         canon = set()
         for u, v in edges:
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise ValueError(f"edge {u!r} {v!r} has an endpoint that is not an integer")
             if u == v:
                 raise ValueError(f"loop edge {u} {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {u} {v} has an endpoint outside 0..{n - 1}")
             canon.add((u, v) if u < v else (v, u))
-        super().__init__(n, frozenset(canon))
+        super().__init__(n, tuple(sorted(canon)))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     @cached_property
-    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
-
-    @cached_property
-    def _adjacency(self):
-        # in sorted edge order each vertex meets its lower neighbors (edges
-        # (w, v)), then its higher ones (edges (v, u)), so each list ascends
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        # the edges ascend, so each vertex meets its lower neighbors (edges
+        # (w, v)) before its higher ones (edges (v, u)) and each list ascends
         adj = [[] for _ in range(self.n)]
-        for u, v in self.sorted_edges:
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(map(tuple, adj))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
 
 
 def smallest_last_order(adjacency) -> list:
@@ -186,19 +181,19 @@ class EdgeColoredGraph(Value):
     _fields = ("graph", "k", "color")
 
     def __init__(self, graph: Graph, k: int, color: Mapping[tuple[int, int], int]):
-        if k < 2:
-            raise ValueError(f"edge palette must satisfy k >= 2, got {k}")
+        if not isinstance(k, int) or k < 2:
+            raise ValueError(f"edge palette must be an integer k >= 2, got {k!r}")
         canon = {}
         for (u, v), c in dict(color).items():
             e = (u, v) if u < v else (v, u)
             if e in canon:
                 raise ValueError(f"edge {e[0]} {e[1]} colored twice")
-            if not (1 <= c <= k):
-                raise ValueError(f"color {c} on edge {e[0]} {e[1]} outside 1..{k}")
+            if not (isinstance(c, int) and 1 <= c <= k):
+                raise ValueError(f"color {c!r} on edge {e[0]} {e[1]} outside 1..{k}")
             canon[e] = c
-        if canon.keys() != graph.edges:
+        if canon.keys() != set(graph.edges):
             raise ValueError("color map must cover exactly the edge set")
-        super().__init__(graph, k, {e: canon[e] for e in graph.sorted_edges})
+        super().__init__(graph, k, {e: canon[e] for e in graph.edges})
 
     def edge_color(self, u: int, v: int) -> int:
         return self.color[(u, v) if u < v else (v, u)]
@@ -219,47 +214,39 @@ class OrientedGraph(Value):
     _fields = ("graph", "direction")
 
     def __init__(self, graph: Graph, direction: Mapping[tuple[int, int], tuple[int, int]]):
-        canon = {}
+        forward = {}
         for (u, v), (tail, head) in dict(direction).items():
             e = (u, v) if u < v else (v, u)
-            if e in canon:
+            if e in forward:
                 raise ValueError(f"edge {e[0]} {e[1]} oriented twice")
             if {tail, head} != {e[0], e[1]}:
                 raise ValueError(f"direction ({tail}, {head}) does not match edge {e[0]} {e[1]}")
-            canon[e] = (tail, head)
-        if canon.keys() != graph.edges:
+            forward[e] = tail == e[0]
+        if forward.keys() != set(graph.edges):
             raise ValueError("direction map must cover exactly the edge set")
-        super().__init__(graph, {e: canon[e] for e in graph.sorted_edges})
+        super().__init__(graph, {e: e if forward[e] else e[::-1] for e in graph.edges})
 
-    # direction is in sorted edge order, so each vertex meets its lower
-    # neighbors first and every list below fills in ascending id order
+    # direction is in edge order, so each vertex meets its lower neighbors
+    # first and every tuple below fills in ascending id order
     @cached_property
-    def _parents(self):
+    def parents(self) -> tuple[tuple[int, ...], ...]:
+        """The tails of the edges directed into each vertex."""
         parents = [[] for _ in range(self.graph.n)]
         for tail, head in self.direction.values():
             parents[head].append(tail)
         return tuple(map(tuple, parents))
 
     @cached_property
-    def _children(self):
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """The heads of the edges directed out of each vertex."""
         children = [[] for _ in range(self.graph.n)]
         for tail, head in self.direction.values():
             children[tail].append(head)
         return tuple(map(tuple, children))
 
-    def parents(self, v: int) -> tuple[int, ...]:
-        """Tails of the edges directed into v, in ascending id order."""
-        return self._parents[v]
-
-    def children(self, v: int) -> tuple[int, ...]:
-        return self._children[v]
-
-    def in_degree(self, v: int) -> int:
-        return len(self._parents[v])
-
     @cached_property
     def max_in_degree(self) -> int:
-        return max(len(p) for p in self._parents)
+        return max(map(len, self.parents))
 
 
 class VertexColoring(Value):
@@ -268,12 +255,12 @@ class VertexColoring(Value):
     _fields = ("palette", "assign")
 
     def __init__(self, palette: int, assign: Iterable[int]):
-        if palette < 1:
-            raise ValueError(f"palette must be at least 1, got {palette}")
+        if not isinstance(palette, int) or palette < 1:
+            raise ValueError(f"palette must be a positive integer, got {palette!r}")
         assign = tuple(assign)
         for v, c in enumerate(assign):
-            if not (1 <= c <= palette):
-                raise ValueError(f"vertex {v} colored {c} outside 1..{palette}")
+            if not (isinstance(c, int) and 1 <= c <= palette):
+                raise ValueError(f"vertex {v} colored {c!r} outside 1..{palette}")
         super().__init__(palette, assign)
 
     def __getitem__(self, v: int) -> int:
@@ -356,8 +343,7 @@ def _parse_body(text: str, want_flag: bool = False):
         if not (1 <= c <= k):
             raise GraphFormatError(f"color {c} outside 1..{k}")
         edges[e] = ((u, v) if parts[3] == ">" else (v, u)) if want_flag else c
-    order = tuple(sorted(edges))
-    return k, Graph._trusted(n, frozenset(order), sorted_edges=order), edges
+    return k, Graph._trusted(n, tuple(sorted(edges))), edges
 
 
 def parse_edge_colored(text: str) -> EdgeColoredGraph:
@@ -365,7 +351,7 @@ def parse_edge_colored(text: str) -> EdgeColoredGraph:
     k, graph, edges = _parse_body(text)
     if k < 2:
         raise GraphFormatError(f"edge-colored graphs need k >= 2, got k={k}")
-    return EdgeColoredGraph._trusted(graph, k, {e: edges[e] for e in graph.sorted_edges})
+    return EdgeColoredGraph._trusted(graph, k, {e: edges[e] for e in graph.edges})
 
 
 def parse_graph(text: str) -> Graph:
@@ -381,27 +367,27 @@ def parse_oriented(text: str) -> OrientedGraph:
     k, graph, edges = _parse_body(text, want_flag=True)
     if k != 1:
         raise GraphFormatError(f"oriented graph files use k = 1, got k={k}")
-    return OrientedGraph._trusted(graph, {e: edges[e] for e in graph.sorted_edges})
+    return OrientedGraph._trusted(graph, {e: edges[e] for e in graph.edges})
 
 
 def serialize(colored: EdgeColoredGraph) -> str:
     """Canonical text: header plus edge lines sorted lexicographically."""
     g = colored.graph
     lines = [f"{g.n} {g.m} {colored.k}"]
-    lines += [f"{u} {v} {colored.color[(u, v)]}" for u, v in g.sorted_edges]
+    lines += [f"{u} {v} {colored.color[(u, v)]}" for u, v in g.edges]
     return "\n".join(lines) + "\n"
 
 
 def serialize_graph(graph: Graph) -> str:
     lines = [f"{graph.n} {graph.m} 1"]
-    lines += [f"{u} {v} 1" for u, v in graph.sorted_edges]
+    lines += [f"{u} {v} 1" for u, v in graph.edges]
     return "\n".join(lines) + "\n"
 
 
 def serialize_oriented(oriented: OrientedGraph) -> str:
     g = oriented.graph
     lines = [f"{g.n} {g.m} 1"]
-    for u, v in g.sorted_edges:
+    for u, v in g.edges:
         flag = ">" if oriented.direction[(u, v)] == (u, v) else "<"
         lines.append(f"{u} {v} 1 {flag}")
     return "\n".join(lines) + "\n"

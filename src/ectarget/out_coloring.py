@@ -62,7 +62,7 @@ def verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> bo
     for u, v in oriented.graph.edges:
         if col[u] == col[v]:
             return False
-    parents = list(map(oriented.parents, range(len(col))))
+    parents = oriented.parents
     for v, ps in enumerate(parents):
         c = col[v]
         if len(ps) > 1 and len({col[p] for p in ps}) < len(ps):
@@ -139,7 +139,7 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColo
     s, col = star.palette, star.assign
     if d == 0:
         return _certify(oriented, [()] * graph.n, 1, {})
-    parents, children = oriented._parents, oriented._children
+    parents, children = oriented.parents, oriented.children
     rule_counts = {}
     in_degrees = [0] * graph.n
     conflicts = []
@@ -202,9 +202,10 @@ def out_coloring_from_universal(
     d = oriented.max_in_degree
     p = target.graph.n
     digits = max(1, ceil_log(max(d, 1), k))
+    parents = oriented.parents
     parent_index = {}
-    for v in range(graph.n):
-        for j, parent in enumerate(oriented.parents(v), start=1):
+    for v, ps in enumerate(parents):
+        for j, parent in enumerate(ps, start=1):
             e = (parent, v) if parent < v else (v, parent)
             parent_index[e] = j
     hom_images = []
@@ -218,9 +219,9 @@ def out_coloring_from_universal(
         hom_images.append(hom.mapping)
     rule_counts = {}
     conflicts = [set() for _ in range(graph.n)]
-    for w in range(graph.n):
-        for a, mid in enumerate(oriented.parents(w), start=1):
-            grand = oriented.parents(mid)
+    for w, ps in enumerate(parents):
+        for a, mid in enumerate(ps, start=1):
+            grand = parents[mid]
             if len(grand) >= a:
                 u = grand[a - 1]
                 rule_counts["C3"] = rule_counts.get("C3", 0) + 1

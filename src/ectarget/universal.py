@@ -130,8 +130,7 @@ class UniversalTarget:
 def _explicit(p: int, k: int, edges: dict) -> EdgeColoredGraph:
     """Edge-colored graph on p vertices from a dict whose pairs a < b ascend,
     so it is already canonical and the trusted constructors may store it."""
-    graph = Graph._trusted(p, frozenset(edges), sorted_edges=tuple(edges))
-    return EdgeColoredGraph._trusted(graph, k, edges)
+    return EdgeColoredGraph._trusted(Graph._trusted(p, tuple(edges)), k, edges)
 
 
 def build_universal(q: int, d: int, k: int, limits: Limits = LIMITS) -> UniversalTarget:
@@ -172,7 +171,7 @@ def build_homomorphism(
         )
     k, col, color = target.k, out_col.assign, source.color
     images = []
-    for u, parents in enumerate(oriented._parents):
+    for u, parents in enumerate(oriented.parents):
         coords = sorted((col[w], color[(w, u) if w < u else (u, w)]) for w in parents)
         images.append(target._rank(col[u], [(p, x) for p, x in coords if x != k]))
     return Homomorphism(images)
@@ -221,9 +220,9 @@ _EMPTY = frozenset()
 
 
 def _edge_slots(graph: Graph) -> list:
-    """For each vertex, its (neighbor, index in graph.sorted_edges) pairs."""
-    index = {e: i for i, e in enumerate(graph.sorted_edges)}
-    return [[(w, index[min(v, w), max(v, w)]) for w in graph.neighbors(v)] for v in range(graph.n)]
+    """For each vertex, its (neighbor, index in graph.edges) pairs."""
+    index = {e: i for i, e in enumerate(graph.edges)}
+    return [[(w, index[min(v, w), max(v, w)]) for w in nbrs] for v, nbrs in enumerate(graph.adjacency)]
 
 
 def _extend(slots, colors, by_color, domains, assigned) -> bool:
@@ -261,7 +260,7 @@ def find_homomorphism(source: EdgeColoredGraph, target, limits: Limits = LIMITS)
         raise ValueError(f"edge palette mismatch: source k={source.k}, target k={target.k}")
     graph = source.graph
     target = _search_target(target, graph.n, limits)
-    colors = [source.color[e] for e in graph.sorted_edges]
+    colors = [source.color[e] for e in graph.edges]
     assigned = [-1] * graph.n
     everything = frozenset(range(target.graph.n))
     if _extend(_edge_slots(graph), colors, target.by_color, dict.fromkeys(range(graph.n), everything), assigned):
@@ -289,7 +288,7 @@ def check_universal(
     # k >= 2, so k^m is above the limit exactly when this capped power is
     limits.check("colorings", k ** min(m, limits.colorings.bit_length()), f"enumerating {k}^{m} colorings")
     target = _search_target(target, graph.n, limits)
-    edges = graph.sorted_edges
+    edges = graph.edges
     slots = _edge_slots(graph)
     by_color = target.by_color
     everything = frozenset(range(target.graph.n))

@@ -24,7 +24,7 @@ def graphs(draw, min_n=1, max_n=8):
 def edge_colored_graphs(draw, min_n=1, max_n=7, max_k=4):
     graph = draw(graphs(min_n=min_n, max_n=max_n))
     k = draw(st.integers(2, max_k))
-    color = {e: draw(st.integers(1, k)) for e in graph.sorted_edges}
+    color = {e: draw(st.integers(1, k)) for e in graph.edges}
     return EdgeColoredGraph(graph, k, color)
 
 
@@ -32,7 +32,7 @@ def edge_colored_graphs(draw, min_n=1, max_n=7, max_k=4):
 def oriented_graphs(draw, min_n=1, max_n=8):
     graph = draw(graphs(min_n=min_n, max_n=max_n))
     direction = {}
-    for u, v in graph.sorted_edges:
+    for u, v in graph.edges:
         direction[(u, v)] = (u, v) if draw(st.booleans()) else (v, u)
     return OrientedGraph(graph, direction)
 

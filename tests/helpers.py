@@ -113,7 +113,7 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 
 
 def random_coloring(graph: Graph, k: int, rng: random.Random) -> EdgeColoredGraph:
-    return EdgeColoredGraph(graph, k, {e: rng.randint(1, k) for e in graph.sorted_edges})
+    return EdgeColoredGraph(graph, k, {e: rng.randint(1, k) for e in graph.edges})
 
 
 def acceptance_corpus() -> list:
@@ -167,7 +167,7 @@ def brute_witness(graph: Graph) -> tuple:
 
 def orientation_exists_bruteforce(graph: Graph, d: int) -> bool:
     """Complete search over edge head assignments with in-degree pruning."""
-    edges = graph.sorted_edges
+    edges = graph.edges
     in_deg = [0] * graph.n
     capacity_left = d * graph.n
 
@@ -204,7 +204,7 @@ def _density_network(graph: Graph, bound: Fraction) -> tuple[int, _Dinic]:
     m, n = graph.m, graph.n
     net = _Dinic(2 + m + n)
     src, sink = 0, 1 + m + n
-    for i, (u, v) in enumerate(graph.sorted_edges):
+    for i, (u, v) in enumerate(graph.edges):
         net.add_edge(src, 1 + i, den)
         net.add_edge(1 + i, 1 + m + u, _INF)
         net.add_edge(1 + i, 1 + m + v, _INF)
@@ -254,7 +254,7 @@ def edge_network_orientation(graph: Graph, d: int) -> OrientedGraph:
         side = net.reach(0)
         raise OrientationInfeasible(d, tuple(sorted(v for v in range(n) if (1 + m + v) in side)))
     direction = {}
-    for i, (u, v) in enumerate(graph.sorted_edges):
+    for i, (u, v) in enumerate(graph.edges):
         # edge node i sends its unit either to u (arc 1) or to v (arc 2)
         direction[(u, v)] = (v, u) if net.adj[1 + i][1][1] < _INF else (u, v)
     return OrientedGraph(graph, direction)
@@ -315,7 +315,7 @@ def verify_in_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> boo
         if coloring[u] == coloring[v]:
             return False
     for mid in range(oriented.graph.n):
-        nbrs = sorted(set(oriented.graph.neighbors(mid)))
+        nbrs = sorted(set(oriented.graph.adjacency[mid]))
         for i, a in enumerate(nbrs):
             for b in nbrs[i + 1 :]:
                 if coloring[a] != coloring[b]:
@@ -390,8 +390,8 @@ def pair_list_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> Out
     adjacency = {v: set() for v in range(n)}
     conflicts = {v: set() for v in range(n)}
     for x in range(n):
-        ps = oriented.parents(x)
-        for rule, heads in (("R1", ps), ("R2", oriented.children(x))):
+        ps = oriented.parents[x]
+        for rule, heads in (("R1", ps), ("R2", oriented.children[x])):
             for b in ps:
                 for a in heads:
                     if a != b and col[a] == col[b]:
@@ -401,7 +401,7 @@ def pair_list_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> Out
                         adjacency[a].add(b)
         # the pairs C1, C2 and C3 keep apart: x and its parents, two parents, x and a grandparent
         pairs = [(x, p) for p in ps] + list(itertools.combinations(ps, 2))
-        pairs += [(x, g) for p in ps for g in oriented.parents(p)]
+        pairs += [(x, g) for p in ps for g in oriented.parents[p]]
         for u, v in pairs:
             conflicts[u].add(v)
             conflicts[v].add(u)
@@ -421,31 +421,31 @@ def _star_safe(graph: Graph, assign: list, v: int, c: int) -> bool:
     are already colored (0 marks uncolored). Checking each path when its last
     vertex is colored covers all paths exactly once over a full run.
     """
-    for u in graph.neighbors(v):
+    for u in graph.adjacency[v]:
         if assign[u] == c:
             return False
     # v as an endpoint: paths v, x, y, z
-    for x in graph.neighbors(v):
+    for x in graph.adjacency[v]:
         cx = assign[x]
         if not cx:
             continue
-        for y in graph.neighbors(x):
+        for y in graph.adjacency[x]:
             if y == v or assign[y] != c:
                 continue
-            for z in graph.neighbors(y):
+            for z in graph.adjacency[y]:
                 if z == v or z == x:
                     continue
                 if assign[z] == cx:
                     return False
     # v as an inner vertex: paths x, v, w, z
-    for x in graph.neighbors(v):
+    for x in graph.adjacency[v]:
         cx = assign[x]
         if not cx:
             continue
-        for w in graph.neighbors(v):
+        for w in graph.adjacency[v]:
             if w == x or assign[w] != cx:
                 continue
-            for z in graph.neighbors(w):
+            for z in graph.adjacency[w]:
                 if z == v or z == x:
                     continue
                 if assign[z] == c:
@@ -458,7 +458,7 @@ def three_step_exact_star(graph: Graph, c_max: int) -> VertexColoring | None:
     each candidate color with _star_safe: the reference for the library's
     exact_star_coloring, with the same (-degree, id) vertex order and the
     same colors tried in first-use order."""
-    order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+    order = sorted(range(graph.n), key=lambda v: (-len(graph.adjacency[v]), v))
     assign = [0] * graph.n
 
     def rec(pos: int, used: int) -> bool:
@@ -486,7 +486,7 @@ def three_step_star_greedy(graph: Graph, seed: int = 0) -> VertexColoring:
     rng = random.Random(seed)
     order = list(range(graph.n))
     rng.shuffle(order)
-    order.sort(key=lambda v: -graph.degree(v))
+    order.sort(key=lambda v: -len(graph.adjacency[v]))
     assign = [0] * graph.n
     for v in order:
         c = 1
@@ -573,11 +573,11 @@ def paths_verify_star(graph: Graph, coloring: VertexColoring) -> bool:
         return False
     if any(coloring[u] == coloring[v] for u, v in graph.edges):
         return False
-    for b, c in graph.sorted_edges:
-        for a in graph.neighbors(b):
+    for b, c in graph.edges:
+        for a in graph.adjacency[b]:
             if a == c or coloring[a] != coloring[c]:
                 continue
-            for d in graph.neighbors(c):
+            for d in graph.adjacency[c]:
                 if d == b or d == a:
                     continue
                 if coloring[d] == coloring[b]:
@@ -634,13 +634,13 @@ def static_order_homomorphism(source: EdgeColoredGraph, target, limits: Limits =
     target = _search_target(target, graph.n, limits)
     tgraph = target.graph
     by_color = target.by_color
-    order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+    order = sorted(range(graph.n), key=lambda v: (-len(graph.adjacency[v]), v))
     assigned = [-1] * graph.n
     all_targets = frozenset(range(tgraph.n))
 
     def candidates(v):
         domain = None
-        for u in graph.neighbors(v):
+        for u in graph.adjacency[v]:
             if assigned[u] < 0:
                 continue
             allowed = by_color[assigned[u]].get(source.edge_color(u, v))
@@ -651,7 +651,7 @@ def static_order_homomorphism(source: EdgeColoredGraph, target, limits: Limits =
 
     def viable(v, image):
         # forward check: every unassigned neighbor keeps at least one option
-        for w in graph.neighbors(v):
+        for w in graph.adjacency[v]:
             if assigned[w] >= 0:
                 continue
             if not by_color[image].get(source.edge_color(v, w)):
@@ -685,7 +685,7 @@ def memoryless_check_universal(target, graph: Graph, k: int, limits: Limits = LI
     m = graph.m
     limits.check("colorings", k ** min(m, limits.colorings.bit_length()), f"enumerating {k}^{m} colorings")
     for combo in itertools.product(range(1, k + 1), repeat=m):
-        colored = EdgeColoredGraph(graph, k, dict(zip(graph.sorted_edges, combo)))
+        colored = EdgeColoredGraph(graph, k, dict(zip(graph.edges, combo)))
         if static_order_homomorphism(colored, target, limits) is None:
             return colored
     return None

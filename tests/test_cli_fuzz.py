@@ -56,7 +56,7 @@ def graph_files(draw) -> dict:
     directions = draw(st.lists(st.booleans(), min_size=colored.graph.m, max_size=colored.graph.m))
     oriented = OrientedGraph(
         colored.graph,
-        {(u, v): (u, v) if keep else (v, u) for (u, v), keep in zip(colored.graph.sorted_edges, directions)},
+        {(u, v): (u, v) if keep else (v, u) for (u, v), keep in zip(colored.graph.edges, directions)},
     )
     return {
         "g": draw(spoiled(serialize_graph(colored.graph))),

@@ -174,7 +174,7 @@ def test_orientation_repair_paths_are_not_bounded_by_the_recursion_limit():
     # the repair reverses a whole half of the cycle
     ring = [0] + list(range(1, 600, 2)) + list(range(598, 0, -2))
     g = Graph(600, [(ring[i - 1], ring[i]) for i in range(600)])
-    order = smallest_last_order([g.neighbors(v) for v in range(g.n)])
+    order = smallest_last_order(g.adjacency)
     assert (order[0], order[-1]) == (0, 599)
     with recursion_limit(120):
         oriented = find_orientation(g, 1)
@@ -232,7 +232,7 @@ def test_orientation_feasibility_matches_density_threshold(g):
 def test_orientation_agrees_with_the_edge_network_reference(g):
     # is_feasible checks each edge is oriented once, the bound and the witness
     # size; both flows' witnesses are the least S maximizing |E(S)| - d * |S|
-    for d in range(max(map(g.degree, range(g.n))) + 1):
+    for d in range(max(map(len, g.adjacency)) + 1):
         expected = infeasibility_witness(edge_network_orientation, g, d)
         assert is_feasible(g, d) == (expected is None) == orientation_exists_bruteforce(g, d)
         assert infeasibility_witness(find_orientation, g, d) == expected

@@ -81,7 +81,7 @@ def test_parse_graph_requires_k1():
     with pytest.raises(GraphFormatError, match="k = 1"):
         parse_graph("2 1 2\n0 1 1")
     g = parse_graph("3 2 1\n0 1 1\n# a comment\n1 2 1")
-    assert g.edges == frozenset({(0, 1), (1, 2)})
+    assert g.edges == ((0, 1), (1, 2))
 
 
 def test_comments_and_blank_lines_are_skipped():
@@ -113,6 +113,12 @@ def test_graph_rejects_loops_and_bad_ids():
         Graph(3, [(0, 3)])
 
 
+def test_graph_rejects_non_integer_vertex_ids():
+    for edges in ([(0.0, 1), (1, 2)], [(0, "1")], [(None, 2)]):
+        with pytest.raises(ValueError, match="not an integer"):
+            Graph(3, edges)
+
+
 def test_edge_colored_graph_validation():
     g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="k >= 2"):
@@ -130,6 +136,14 @@ def test_edge_colored_graph_validation():
     assert list(colored.color.items()) == [((0, 1), 1), ((1, 2), 2)]
 
 
+def test_edge_colored_graph_rejects_non_integer_colors_and_palettes():
+    g = Graph(2, [(0, 1)])
+    with pytest.raises(ValueError, match=r"^color 1\.5 on edge 0 1 outside 1\.\.2$"):
+        EdgeColoredGraph(g, 2, {(0, 1): 1.5})
+    with pytest.raises(ValueError, match=r"^edge palette must be an integer k >= 2, got 2\.0$"):
+        EdgeColoredGraph(g, 2.0, {(0, 1): 1})
+
+
 def test_colored_adjacency_groups_neighbors_by_edge_color():
     colored = EdgeColoredGraph(Graph(4, [(0, 1), (1, 2), (1, 3)]), 3, {(0, 1): 1, (1, 2): 3, (1, 3): 1})
     assert colored.by_color == ({1: {1}}, {1: {0, 3}, 3: {2}}, {3: {1}}, {1: {1}})
@@ -139,12 +153,18 @@ def test_colored_adjacency_groups_neighbors_by_edge_color():
 def test_oriented_graph_validation():
     g = Graph(2, [(0, 1)])
     og = OrientedGraph(g, {(0, 1): (1, 0)})
-    assert og.parents(0) == (1,)
-    assert og.in_degree(1) == 0
+    assert og.parents[0] == (1,)
+    assert og.parents[1] == ()
     with pytest.raises(ValueError, match="does not match"):
         OrientedGraph(g, {(0, 1): (0, 0)})
     with pytest.raises(ValueError, match="cover exactly"):
         OrientedGraph(g, {})
+
+
+def test_oriented_graph_spells_arcs_with_the_graph_ids():
+    og = OrientedGraph(Graph(3, [(0, 1), (1, 2)]), {(0, 1): (1.0, 0), (2, 1): (1, 2.0)})
+    assert [tuple(map(type, arc)) for arc in og.direction.values()] == [(int, int)] * 2
+    assert og.direction == {(0, 1): (1, 0), (1, 2): (1, 2)}
 
 
 def test_vertex_coloring_validation():
@@ -154,6 +174,13 @@ def test_vertex_coloring_validation():
         VertexColoring(2, [1, 3])
     col = VertexColoring(2, [1, 2, 1])
     assert col[2] == 1 and len(col) == 3
+
+
+def test_vertex_coloring_rejects_non_integer_colors_and_palettes():
+    with pytest.raises(ValueError, match=r"^vertex 1 colored 2\.0 outside 1\.\.2$"):
+        VertexColoring(2, [1, 2.0])
+    with pytest.raises(ValueError, match=r"^palette must be a positive integer, got 2\.5$"):
+        VertexColoring(2.5, [1, 2])
 
 
 @given(edge_colored_graphs())
@@ -176,8 +203,8 @@ def test_oriented_round_trip(og):
 def test_parents_and_children_ascend_whatever_the_input_order(og):
     backwards = OrientedGraph(og.graph, {(v, u): arc for (u, v), arc in reversed(og.direction.items())})
     for v in range(og.graph.n):
-        assert backwards.parents(v) == tuple(sorted(t for t, h in og.direction.values() if h == v))
-        assert backwards.children(v) == tuple(sorted(h for t, h in og.direction.values() if t == v))
+        assert backwards.parents[v] == tuple(sorted(t for t, h in og.direction.values() if h == v))
+        assert backwards.children[v] == tuple(sorted(h for t, h in og.direction.values() if t == v))
 
 
 def test_oriented_parse_direction_flags():
@@ -208,7 +235,7 @@ def test_transpose_flips_every_edge():
 @given(graphs())
 def test_neighbors_ascend(g):
     for v in range(g.n):
-        assert g.neighbors(v) == tuple(sorted(b if a == v else a for a, b in g.edges if v in (a, b)))
+        assert g.adjacency[v] == tuple(sorted(b if a == v else a for a, b in g.edges if v in (a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +244,8 @@ def test_neighbors_ascend(g):
 
 
 def assert_same_graph(got, want):
-    assert got == want and type(got.edges) is frozenset
-    assert got.sorted_edges == want.sorted_edges
-    assert [got.neighbors(v) for v in range(got.n)] == [want.neighbors(v) for v in range(want.n)]
+    assert got == want and type(got.edges) is tuple and list(got.edges) == sorted(got.edges)
+    assert got.edges == want.edges and got.adjacency == want.adjacency
 
 
 def assert_same_colored(got, want):
@@ -233,8 +259,7 @@ def assert_same_oriented(got, want):
     assert got == want
     assert_same_graph(got.graph, want.graph)
     assert list(got.direction.items()) == list(want.direction.items())
-    for v in range(got.graph.n):
-        assert got.parents(v) == want.parents(v) and got.children(v) == want.children(v)
+    assert got.parents == want.parents and got.children == want.children
 
 
 @st.composite
@@ -244,7 +269,7 @@ def shuffled_lines(draw):
     positions of comment lines among the rows."""
     ecg = draw(edge_colored_graphs())
     rows = []
-    for u, v in draw(st.permutations(ecg.graph.sorted_edges)):
+    for u, v in draw(st.permutations(ecg.graph.edges)):
         arc = (u, v) if draw(st.booleans()) else (v, u)
         a, b = (u, v) if draw(st.booleans()) else (v, u)
         rows.append((a, b, ecg.color[(u, v)], arc))
@@ -264,6 +289,7 @@ def test_parsers_build_the_records_the_constructors_build(case):
     ecg, rows, comments = case
     n, m = ecg.graph.n, ecg.graph.m
     graph = Graph(n, [(a, b) for a, b, _, _ in rows])
+    assert graph.edges == ecg.graph.edges and graph == ecg.graph and hash(graph) == hash(ecg.graph)
     colored = EdgeColoredGraph(graph, ecg.k, {(a, b): c for a, b, c, _ in rows})
     oriented = OrientedGraph(graph, {(a, b): arc for a, b, _, arc in rows})
     colored_text = _file(f"{n} {m} {ecg.k}", (f"{a} {b} {c}" for a, b, c, _ in rows), comments)

@@ -294,7 +294,7 @@ def test_verify_homomorphism_rejects_a_palette_mismatch():
 
 def test_find_homomorphism_identity_triangle():
     g = clique(3)
-    mono = EdgeColoredGraph(g, 2, {e: 1 for e in g.sorted_edges})
+    mono = EdgeColoredGraph(g, 2, {e: 1 for e in g.edges})
     hom = find_homomorphism(mono, mono)
     assert hom is not None
     assert verify_homomorphism(mono, mono, hom)
@@ -334,7 +334,7 @@ def test_found_homomorphisms_always_verify(source):
     target = EdgeColoredGraph(
         clique(4),
         k,
-        {e: 1 + (i % k) for i, e in enumerate(clique(4).sorted_edges)},
+        {e: 1 + (i % k) for i, e in enumerate(clique(4).edges)},
     )
     hom = find_homomorphism(source, target)
     if hom is not None:
@@ -350,7 +350,7 @@ def search_instances(draw):
     if draw(st.booleans()):
         return source, build_universal(draw(st.integers(1, 3)), draw(st.integers(0, 2)), k)
     graph = draw(graphs(max_n=6))
-    color = {e: draw(st.integers(1, k)) for e in graph.sorted_edges}
+    color = {e: draw(st.integers(1, k)) for e in graph.edges}
     return source, EdgeColoredGraph(graph, k, color)
 
 

@@ -22,15 +22,15 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 RECORDS = {
     Graph: (
         lambda x: Graph(3, [(1, 0), (2, 1)][: 2 - x]),
-        "Graph(n=3, edges=frozenset({(0, 1), (1, 2)}))",
+        "Graph(n=3, edges=((0, 1), (1, 2)))",
     ),
     EdgeColoredGraph: (
         lambda x: EdgeColoredGraph(Graph(2, [(0, 1)]), 2, {(1, 0): 1 + x}),
-        "EdgeColoredGraph(graph=Graph(n=2, edges=frozenset({(0, 1)})), k=2, color={(0, 1): 1})",
+        "EdgeColoredGraph(graph=Graph(n=2, edges=((0, 1),)), k=2, color={(0, 1): 1})",
     ),
     OrientedGraph: (
         lambda x: OrientedGraph(Graph(2, [(0, 1)]), {(0, 1): (1 - x, x)}),
-        "OrientedGraph(graph=Graph(n=2, edges=frozenset({(0, 1)})), direction={(0, 1): (1, 0)})",
+        "OrientedGraph(graph=Graph(n=2, edges=((0, 1),)), direction={(0, 1): (1, 0)})",
     ),
     VertexColoring: (
         lambda x: VertexColoring(2, [1 + x, 2 - x]),
@@ -128,7 +128,7 @@ def test_frozen(cls):
 @pytest.mark.parametrize(
     "record, name",
     [
-        (Graph(3, [(1, 0), (2, 1)]), "sorted_edges"),
+        (Graph(3, [(1, 0), (2, 1)]), "adjacency"),
         (EdgeColoredGraph(Graph(2, [(0, 1)]), 2, {(0, 1): 1}), "by_color"),
         (OrientedGraph(Graph(3, [(0, 1), (1, 2)]), {(0, 1): (0, 1), (1, 2): (2, 1)}), "max_in_degree"),
     ],
