@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import LIMITS, Graph, Limits, VertexColoring
+from .graphs import LIMITS, Graph, Limits, VertexColoring, _check_ints
 
 
 def _is_proper(graph: Graph, col: tuple) -> bool:
@@ -124,6 +124,7 @@ def exact_star_coloring(graph: Graph, c_max: int, limits: Limits = LIMITS) -> Ve
     Complete backtracking search on the greedy's tables, restored after each
     failed color; refuses graphs above limits.exact_coloring_n.
     """
+    _check_ints(c_max=c_max)
     limits.check("exact_coloring_n", graph.n, f"exact star coloring of n={graph.n}")
     adjacency = graph.adjacency
     order = sorted(range(graph.n), key=lambda v: (-len(adjacency[v]), v))

@@ -20,7 +20,7 @@ from collections import deque
 from fractions import Fraction
 
 from .coloring import _color_pair_groups, verify_acyclic
-from .graphs import Graph, OrientedGraph, Value, VertexColoring, smallest_last_order
+from .graphs import Graph, OrientedGraph, Value, VertexColoring, _check_ints, smallest_last_order
 
 class OrientationInfeasible(Exception):
     """No orientation with the requested in-degree bound exists.
@@ -210,6 +210,7 @@ def find_orientation(graph: Graph, d: int) -> OrientedGraph:
     OrientationInfeasible when some subgraph has more than d edges per
     vertex. Its witness is the least vertex set S maximizing |E(S)| - d * |S|.
     """
+    _check_ints(d=d)
     if d < 0:
         raise ValueError(f"in-degree bound must be nonnegative, got {d}")
     start = heads, in_degrees = _smallest_last_start(graph)
@@ -223,8 +224,7 @@ def find_orientation(graph: Graph, d: int) -> OrientedGraph:
             raise OrientationInfeasible(d, tuple(witness))
         # a saturated arc head -> tail was reversed: its tail is the new head
         heads = [arc[0] if arc[1] == 0 else head for arc, head in zip(arcs, heads)]
-    direction = {(u, v): (v, u) if head == u else (u, v) for (u, v), head in zip(graph.edges, heads)}
-    return OrientedGraph._trusted(graph, direction)  # canonical: edge order
+    return OrientedGraph._trusted(graph, tuple(heads))  # canonical: edge order
 
 
 def min_orientation(graph: Graph) -> tuple[int, OrientedGraph]:
@@ -253,7 +253,7 @@ def orientation_from_acyclic(graph: Graph, coloring: VertexColoring) -> Oriented
     if not verify_acyclic(graph, coloring):
         raise ValueError("coloring failed acyclic verification")
     groups = _color_pair_groups(graph, coloring.assign)
-    direction = {}
+    heads = {}
     for pair in sorted(groups):
         adj = {}
         for u, v in groups[pair]:
@@ -271,7 +271,6 @@ def orientation_from_acyclic(graph: Graph, coloring: VertexColoring) -> Oriented
                     if y in visited:
                         continue
                     visited.add(y)
-                    e = (x, y) if x < y else (y, x)
-                    direction[e] = (x, y)
+                    heads[(x, y) if x < y else (y, x)] = y
                     queue.append(y)
-    return OrientedGraph(graph, direction)
+    return OrientedGraph._trusted(graph, tuple(map(heads.__getitem__, graph.edges)))  # all in the forests

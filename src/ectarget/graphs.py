@@ -2,11 +2,13 @@
 
 Vertices are dense integer ids ``0..n-1``; edge colors are 1-based, so a
 k-edge-colored graph uses colors ``1..k``. A ``Graph`` holds its edges as one
-ascending tuple of pairs ``(u, v)`` with ``u < v``, whose order the color and
-direction maps follow; ``Graph.adjacency``, ``OrientedGraph.parents`` and
-``OrientedGraph.children`` hold one ascending tuple of ids per vertex, built
-on first use. All types are frozen after construction, by the small ``Value``
-base below, and can be shared freely across threads.
+ascending tuple of pairs ``(u, v)`` with ``u < v``. The color and the head of
+``edges[i]`` are ``EdgeColoredGraph.colors[i]`` and ``OrientedGraph.heads[i]``:
+tuples aligned with it, not maps keyed by edge. ``Graph.adjacency``,
+``OrientedGraph.parents`` and ``OrientedGraph.children`` hold one ascending
+tuple of ids per vertex, built on first use. All types are frozen after
+construction, by the small ``Value`` base below, and can be shared freely
+across threads.
 
 Text format (UTF-8, LF newlines): first line ``n m k``, then ``m`` lines
 ``u v c`` with ``u != v``, both in ``0..n-1``, in either order, each edge
@@ -33,6 +35,13 @@ class GraphFormatError(ValueError):
 
 class GuardExceeded(RuntimeError):
     """An operation would exceed its configured size guard."""
+
+
+def _check_ints(**values) -> None:
+    """Raise ValueError for the first named value that is not an int."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 _LIMIT_DEFAULTS = {
@@ -176,15 +185,16 @@ def smallest_last_order(adjacency) -> list:
 
 
 class EdgeColoredGraph(Value):
-    """A graph together with a total edge coloring into 1..k, for k >= 2."""
+    """A graph with a total edge coloring into 1..k, k >= 2: colors[i] is the
+    color of graph.edges[i]. The constructor takes a map from edges to colors."""
 
-    _fields = ("graph", "k", "color")
+    _fields = ("graph", "k", "colors")
 
-    def __init__(self, graph: Graph, k: int, color: Mapping[tuple[int, int], int]):
+    def __init__(self, graph: Graph, k: int, colors: Mapping[tuple[int, int], int]):
         if not isinstance(k, int) or k < 2:
             raise ValueError(f"edge palette must be an integer k >= 2, got {k!r}")
         canon = {}
-        for (u, v), c in dict(color).items():
+        for (u, v), c in dict(colors).items():
             e = (u, v) if u < v else (v, u)
             if e in canon:
                 raise ValueError(f"edge {e[0]} {e[1]} colored twice")
@@ -193,55 +203,53 @@ class EdgeColoredGraph(Value):
             canon[e] = c
         if canon.keys() != set(graph.edges):
             raise ValueError("color map must cover exactly the edge set")
-        super().__init__(graph, k, {e: canon[e] for e in graph.edges})
-
-    def edge_color(self, u: int, v: int) -> int:
-        return self.color[(u, v) if u < v else (v, u)]
+        super().__init__(graph, k, tuple(map(canon.__getitem__, graph.edges)))
 
     @cached_property
     def by_color(self) -> tuple[dict[int, set[int]], ...]:
         """For each vertex, its neighbors grouped by the color of the joining edge."""
         by_color = tuple({} for _ in range(self.graph.n))
-        for (a, b), c in self.color.items():
+        for (a, b), c in zip(self.graph.edges, self.colors):
             by_color[a].setdefault(c, set()).add(b)
             by_color[b].setdefault(c, set()).add(a)
         return by_color
 
 
 class OrientedGraph(Value):
-    """A graph plus one direction (tail, head) per edge."""
+    """A graph with one direction per edge: heads[i] is the endpoint that
+    graph.edges[i] points to. The constructor takes a map from edges to arcs."""
 
-    _fields = ("graph", "direction")
+    _fields = ("graph", "heads")
 
-    def __init__(self, graph: Graph, direction: Mapping[tuple[int, int], tuple[int, int]]):
+    def __init__(self, graph: Graph, arcs: Mapping[tuple[int, int], tuple[int, int]]):
         forward = {}
-        for (u, v), (tail, head) in dict(direction).items():
+        for (u, v), (tail, head) in dict(arcs).items():
             e = (u, v) if u < v else (v, u)
             if e in forward:
                 raise ValueError(f"edge {e[0]} {e[1]} oriented twice")
             if {tail, head} != {e[0], e[1]}:
                 raise ValueError(f"direction ({tail}, {head}) does not match edge {e[0]} {e[1]}")
-            forward[e] = tail == e[0]
+            forward[e] = head == e[1]
         if forward.keys() != set(graph.edges):
             raise ValueError("direction map must cover exactly the edge set")
-        super().__init__(graph, {e: e if forward[e] else e[::-1] for e in graph.edges})
+        super().__init__(graph, tuple(v if forward[u, v] else u for u, v in graph.edges))
 
-    # direction is in edge order, so each vertex meets its lower neighbors
+    # heads follow the edge order, so each vertex meets its lower neighbors
     # first and every tuple below fills in ascending id order
     @cached_property
     def parents(self) -> tuple[tuple[int, ...], ...]:
         """The tails of the edges directed into each vertex."""
         parents = [[] for _ in range(self.graph.n)]
-        for tail, head in self.direction.values():
-            parents[head].append(tail)
+        for (u, v), head in zip(self.graph.edges, self.heads):
+            parents[head].append(u if head == v else v)
         return tuple(map(tuple, parents))
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
         """The heads of the edges directed out of each vertex."""
         children = [[] for _ in range(self.graph.n)]
-        for tail, head in self.direction.values():
-            children[tail].append(head)
+        for (u, v), head in zip(self.graph.edges, self.heads):
+            children[u if head == v else v].append(head)
         return tuple(map(tuple, children))
 
     @cached_property
@@ -312,9 +320,9 @@ def _parse_header(line: str) -> tuple[int, int, int]:
 
 
 def _parse_body(text: str, want_flag: bool = False):
-    """(k, graph, edges) of a graph file, checked in one pass in line order:
-    edges maps each edge (u, v), u < v, to its color, or to its (tail, head)
-    when the lines carry direction flags."""
+    """(k, graph, values) of a graph file, checked in one pass in line order:
+    values[i] is the color of graph.edges[i], or its head when the lines
+    carry direction flags."""
     lines = _content_lines(text)
     if not lines:
         raise GraphFormatError("empty input, expected an 'n m k' header")
@@ -342,16 +350,17 @@ def _parse_body(text: str, want_flag: bool = False):
             raise GraphFormatError(f"duplicate edge {e[0]} {e[1]}")
         if not (1 <= c <= k):
             raise GraphFormatError(f"color {c} outside 1..{k}")
-        edges[e] = ((u, v) if parts[3] == ">" else (v, u)) if want_flag else c
-    return k, Graph._trusted(n, tuple(sorted(edges))), edges
+        edges[e] = (v if parts[3] == ">" else u) if want_flag else c
+    graph = Graph._trusted(n, tuple(sorted(edges)))
+    return k, graph, tuple(map(edges.__getitem__, graph.edges))
 
 
 def parse_edge_colored(text: str) -> EdgeColoredGraph:
     """Parse an 'n m k' header plus 'u v c' lines into a k-edge-colored graph."""
-    k, graph, edges = _parse_body(text)
+    k, graph, colors = _parse_body(text)
     if k < 2:
         raise GraphFormatError(f"edge-colored graphs need k >= 2, got k={k}")
-    return EdgeColoredGraph._trusted(graph, k, {e: edges[e] for e in graph.edges})
+    return EdgeColoredGraph._trusted(graph, k, colors)
 
 
 def parse_graph(text: str) -> Graph:
@@ -364,17 +373,17 @@ def parse_graph(text: str) -> Graph:
 
 def parse_oriented(text: str) -> OrientedGraph:
     """Parse a plain graph file whose edge lines carry direction flags."""
-    k, graph, edges = _parse_body(text, want_flag=True)
+    k, graph, heads = _parse_body(text, want_flag=True)
     if k != 1:
         raise GraphFormatError(f"oriented graph files use k = 1, got k={k}")
-    return OrientedGraph._trusted(graph, {e: edges[e] for e in graph.edges})
+    return OrientedGraph._trusted(graph, heads)
 
 
 def serialize(colored: EdgeColoredGraph) -> str:
     """Canonical text: header plus edge lines sorted lexicographically."""
     g = colored.graph
     lines = [f"{g.n} {g.m} {colored.k}"]
-    lines += [f"{u} {v} {colored.color[(u, v)]}" for u, v in g.edges]
+    lines += [f"{u} {v} {c}" for (u, v), c in zip(g.edges, colored.colors)]
     return "\n".join(lines) + "\n"
 
 
@@ -387,9 +396,7 @@ def serialize_graph(graph: Graph) -> str:
 def serialize_oriented(oriented: OrientedGraph) -> str:
     g = oriented.graph
     lines = [f"{g.n} {g.m} 1"]
-    for u, v in g.edges:
-        flag = ">" if oriented.direction[(u, v)] == (u, v) else "<"
-        lines.append(f"{u} {v} 1 {flag}")
+    lines += [f"{u} {v} 1 {'>' if head == v else '<'}" for (u, v), head in zip(g.edges, oriented.heads)]
     return "\n".join(lines) + "\n"
 
 

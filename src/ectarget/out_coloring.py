@@ -26,7 +26,7 @@ import json
 
 from .bounds import ceil_log
 from .coloring import verify_star
-from .graphs import LIMITS, EdgeColoredGraph, Limits, OrientedGraph, Value, VertexColoring, smallest_last_order
+from .graphs import LIMITS, EdgeColoredGraph, Limits, OrientedGraph, Value, VertexColoring, _check_ints, smallest_last_order
 
 
 class TargetNotUniversal(Exception):
@@ -77,9 +77,9 @@ def verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> bo
 def _degeneracy_greedy(adjacency: list, max_colors: int) -> list:
     """Greedy coloring in reverse smallest-last order (Matula-Beck 1983).
 
-    adjacency[v] is the set of the (deduplicated, undirected) neighbors of
-    vertex v. Every vertex keeps at most max_colors - 1 colored neighbors at
-    assignment time, which the caller guarantees via a degree bound.
+    adjacency[v] is a sequence of the (deduplicated, undirected) neighbors of
+    vertex v, in any order. Every vertex keeps at most max_colors - 1 colored
+    neighbors at assignment time, which the caller guarantees via a degree bound.
     """
     colors = [0] * len(adjacency)
     for v in reversed(smallest_last_order(adjacency)):
@@ -163,13 +163,13 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColo
             near.update(parents[c])
             near.update(children[c])
         near.discard(x)
-        conflicts.append(near)
+        conflicts.append(tuple(near))  # a quarter of the set's size
     if max(in_degrees) > d * (s - 1):
         raise AssertionError("auxiliary digraph in-degree bound violated")
     budget = 2 * d * s * s
     tuples = _degeneracy_greedy(conflicts, graph.n)
     if max(tuples) > budget:
-        same = [{a for a in near if col[a] == col[x]} for x, near in enumerate(conflicts)]
+        same = [[a for a in near if col[a] == col[x]] for x, near in enumerate(conflicts)]
         tuples = list(zip(col, _degeneracy_greedy(same, 2 * d * s)))
     return _certify(oriented, tuples, budget, rule_counts)
 
@@ -196,6 +196,7 @@ def out_coloring_from_universal(
     """
     from .universal import find_homomorphism
 
+    _check_ints(k=k)
     if k < 2:
         raise ValueError(f"edge palette must satisfy k >= 2, got {k}")
     graph = oriented.graph
@@ -203,16 +204,14 @@ def out_coloring_from_universal(
     p = target.graph.n
     digits = max(1, ceil_log(max(d, 1), k))
     parents = oriented.parents
-    parent_index = {}
-    for v, ps in enumerate(parents):
-        for j, parent in enumerate(ps, start=1):
-            e = (parent, v) if parent < v else (v, parent)
-            parent_index[e] = j
+    seen = [0] * graph.n  # the edges into a head come in the order of its parents
+    numbers = []
+    for head in oriented.heads:
+        numbers.append(seen[head])
+        seen[head] += 1
     hom_images = []
-    for i in range(1, digits + 1):
-        scale = k ** (i - 1)
-        color = {e: ((j - 1) // scale) % k + 1 for e, j in parent_index.items()}
-        derived = EdgeColoredGraph(graph, k, color)
+    for i in range(digits):
+        derived = EdgeColoredGraph._trusted(graph, k, tuple(j // k**i % k + 1 for j in numbers))
         hom = find_homomorphism(derived, target, limits)
         if hom is None:
             raise TargetNotUniversal(derived)

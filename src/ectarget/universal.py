@@ -33,6 +33,7 @@ from .graphs import (
     Limits,
     OrientedGraph,
     VertexColoring,
+    _check_ints,
 )
 from .out_coloring import verify_out_coloring
 
@@ -41,6 +42,7 @@ class UniversalTarget:
     """Complete k-edge-colored target over the (q, d, k) tuple vertex set."""
 
     def __init__(self, q: int, d: int, k: int, limits: Limits = LIMITS):
+        _check_ints(q=q, d=d, k=k)
         if q < 1:
             raise ValueError(f"palette q must be at least 1, got {q}")
         if k < 2:
@@ -122,15 +124,14 @@ class UniversalTarget:
         p = self.vertex_count
         self.limits.check("explicit_vertices", p, f"explicit target with {p} vertices")
         vs = [self._unrank(i) for i in range(p)]
-        color = self._color
-        edges = {(a, b): color(vs[a], vs[b]) for a in range(p) for b in range(a + 1, p)}
+        edges = {(a, b): self._color(vs[a], vs[b]) for a in range(p) for b in range(a + 1, p)}
         return _explicit(p, self.k, edges)
 
 
 def _explicit(p: int, k: int, edges: dict) -> EdgeColoredGraph:
     """Edge-colored graph on p vertices from a dict whose pairs a < b ascend,
     so it is already canonical and the trusted constructors may store it."""
-    return EdgeColoredGraph._trusted(Graph._trusted(p, tuple(edges)), k, edges)
+    return EdgeColoredGraph._trusted(Graph._trusted(p, tuple(edges)), k, tuple(edges.values()))
 
 
 def build_universal(q: int, d: int, k: int, limits: Limits = LIMITS) -> UniversalTarget:
@@ -162,19 +163,15 @@ def build_homomorphism(
     if not verify_out_coloring(oriented, out_col):
         raise ValueError("coloring is not an out-coloring of the orientation")
     if out_col.palette > target.q:
-        raise ValueError(
-            f"out-coloring palette {out_col.palette} exceeds target q={target.q}"
-        )
+        raise ValueError(f"out-coloring palette {out_col.palette} exceeds target q={target.q}")
     if oriented.max_in_degree > target.d:
-        raise ValueError(
-            f"orientation in-degree {oriented.max_in_degree} exceeds target d={target.d}"
-        )
-    k, col, color = target.k, out_col.assign, source.color
-    images = []
-    for u, parents in enumerate(oriented.parents):
-        coords = sorted((col[w], color[(w, u) if w < u else (u, w)]) for w in parents)
-        images.append(target._rank(col[u], [(p, x) for p, x in coords if x != k]))
-    return Homomorphism(images)
+        raise ValueError(f"orientation in-degree {oriented.max_in_degree} exceeds target d={target.d}")
+    k, col = target.k, out_col.assign
+    coords = [[] for _ in range(graph.n)]  # (out color of a parent, edge color) pairs
+    for (u, v), head, c in zip(graph.edges, oriented.heads, source.colors):
+        if c != k:
+            coords[head].append((col[u if head == v else v], c))
+    return Homomorphism(target._rank(col[u], sorted(pairs)) for u, pairs in enumerate(coords))
 
 
 def verify_homomorphism(source: EdgeColoredGraph, target, hom: Homomorphism) -> bool:
@@ -188,23 +185,17 @@ def verify_homomorphism(source: EdgeColoredGraph, target, hom: Homomorphism) -> 
         raise ValueError("homomorphism must be total over the source vertices")
     if source.k != target.k:
         raise ValueError(f"edge palette mismatch: source k={source.k}, target k={target.k}")
+    edges = zip(graph.edges, source.colors)
+    ids = hom.mapping
     if isinstance(target, UniversalTarget):
-        ids, color = hom.mapping, target._color
         sparse = [target._unrank(i) for i in ids]
-        for (u, v), c in source.color.items():
-            if ids[u] == ids[v] or color(sparse[u], sparse[v]) != c:
-                return False
-        return True
-    for i in hom.mapping:
+        return all(ids[u] != ids[v] and target._color(sparse[u], sparse[v]) == c for (u, v), c in edges)
+    for i in ids:
         if not (0 <= i < target.graph.n):
             raise ValueError(f"image {i} is not a target vertex id")
     # a pair that is no target edge, a loop included, has no color
-    tcolor = target.color
-    for (u, v), c in source.color.items():
-        hu, hv = hom[u], hom[v]
-        if tcolor.get((hu, hv) if hu < hv else (hv, hu)) != c:
-            return False
-    return True
+    by_color = target.by_color
+    return all(ids[v] in by_color[ids[u]].get(c, ()) for (u, v), c in edges)
 
 
 def _search_target(target, source_n: int, limits: Limits) -> EdgeColoredGraph:
@@ -260,10 +251,9 @@ def find_homomorphism(source: EdgeColoredGraph, target, limits: Limits = LIMITS)
         raise ValueError(f"edge palette mismatch: source k={source.k}, target k={target.k}")
     graph = source.graph
     target = _search_target(target, graph.n, limits)
-    colors = [source.color[e] for e in graph.edges]
     assigned = [-1] * graph.n
     everything = frozenset(range(target.graph.n))
-    if _extend(_edge_slots(graph), colors, target.by_color, dict.fromkeys(range(graph.n), everything), assigned):
+    if _extend(_edge_slots(graph), source.colors, target.by_color, dict.fromkeys(range(graph.n), everything), assigned):
         return Homomorphism(assigned)
     return None
 
@@ -282,6 +272,7 @@ def check_universal(
     recolored edges, then searches from scratch. A k other than the target's
     edge palette is a ValueError.
     """
+    _check_ints(k=k)
     if k != target.k:
         raise ValueError(f"edge palette mismatch: k={k}, target k={target.k}")
     m = graph.m
@@ -377,6 +368,7 @@ def min_universal_size(
     Each graph keeps the counterexamples its full checks returned, newest
     first, and a candidate meets them before the graph's next full check.
     """
+    _check_ints(k=k, p_max=p_max)
     if k < 2:
         raise ValueError(f"edge palette must satisfy k >= 2, got {k}")
     if p_max < 1:

@@ -264,7 +264,7 @@ def each_aux_triple(oriented: OrientedGraph, star: VertexColoring):
     """Every R1 and R2 triple (b, x, a) as (rule, b, a), from every ordered
     pair of arcs: R1 when b -> x and a -> x with a != b, R2 when b -> x -> a,
     in both cases with star[a] == star[b]."""
-    arcs = list(oriented.direction.values())
+    arcs = list(arc_map(oriented).values())
     for b, x in arcs:
         for tail, head in arcs:
             if head == x and tail != b and star[tail] == star[b]:
@@ -296,9 +296,14 @@ def two_stage_palette(oriented: OrientedGraph, star: VertexColoring) -> int:
     return len({(star[v], aux[v]) for v in range(n)})
 
 
+def arc_map(oriented: OrientedGraph) -> dict:
+    """The (tail, head) of each edge, keyed by the edge as graph.edges spells it."""
+    return {(u, v): (u if head == v else v, head) for (u, v), head in zip(oriented.graph.edges, oriented.heads)}
+
+
 def transpose(oriented: OrientedGraph) -> OrientedGraph:
     """The same graph with every edge reversed."""
-    flipped = {e: (head, tail) for e, (tail, head) in oriented.direction.items()}
+    flipped = {e: (head, tail) for e, (tail, head) in arc_map(oriented).items()}
     return OrientedGraph(oriented.graph, flipped)
 
 
@@ -314,14 +319,15 @@ def verify_in_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> boo
     for u, v in oriented.graph.edges:
         if coloring[u] == coloring[v]:
             return False
+    arcs = arc_map(oriented)
     for mid in range(oriented.graph.n):
         nbrs = sorted(set(oriented.graph.adjacency[mid]))
         for i, a in enumerate(nbrs):
             for b in nbrs[i + 1 :]:
                 if coloring[a] != coloring[b]:
                     continue
-                ea = oriented.direction[(a, mid) if a < mid else (mid, a)]
-                eb = oriented.direction[(b, mid) if b < mid else (mid, b)]
+                ea = arcs[(a, mid) if a < mid else (mid, a)]
+                eb = arcs[(b, mid) if b < mid else (mid, b)]
                 if ea != (a, mid) or eb != (b, mid):
                     return False
     return True
@@ -634,6 +640,7 @@ def static_order_homomorphism(source: EdgeColoredGraph, target, limits: Limits =
     target = _search_target(target, graph.n, limits)
     tgraph = target.graph
     by_color = target.by_color
+    color = dict(zip(graph.edges, source.colors))
     order = sorted(range(graph.n), key=lambda v: (-len(graph.adjacency[v]), v))
     assigned = [-1] * graph.n
     all_targets = frozenset(range(tgraph.n))
@@ -643,7 +650,7 @@ def static_order_homomorphism(source: EdgeColoredGraph, target, limits: Limits =
         for u in graph.adjacency[v]:
             if assigned[u] < 0:
                 continue
-            allowed = by_color[assigned[u]].get(source.edge_color(u, v))
+            allowed = by_color[assigned[u]].get(color[(u, v) if u < v else (v, u)])
             if not allowed:
                 return ()
             domain = allowed if domain is None else domain & allowed
@@ -654,7 +661,7 @@ def static_order_homomorphism(source: EdgeColoredGraph, target, limits: Limits =
         for w in graph.adjacency[v]:
             if assigned[w] >= 0:
                 continue
-            if not by_color[image].get(source.edge_color(v, w)):
+            if not by_color[image].get(color[(v, w) if v < w else (w, v)]):
                 return False
         return True
 

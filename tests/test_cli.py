@@ -325,7 +325,7 @@ def test_check_universal_commands(tmp_path, capsys):
     assert code == 1
     assert payload["universal"] is False
     counterexample = parse_edge_colored("\n".join(payload["counterexample"]))
-    assert counterexample.color == {(0, 1): 2}
+    assert counterexample.colors == (2,)
 
 
 @pytest.mark.parametrize("header, k", [({"q": 2, "d": 1, "k": 2}, 3), ({"q": 2, "d": 1, "k": 3}, 2)])

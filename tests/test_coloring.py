@@ -105,6 +105,11 @@ def test_exact_searches_are_guarded():
         exact_star_coloring(Graph(21), 3)
 
 
+def test_exact_star_rejects_a_non_integer_budget():
+    with pytest.raises(ValueError, match=r"^c_max must be an integer, got 2\.5$"):
+        exact_star_coloring(path(4), 2.5)
+
+
 def test_greedy_star_edgeless():
     assert greedy_star_coloring(Graph(5)).palette == 1
 

@@ -40,10 +40,15 @@ def is_feasible(graph, d):
         witness = exc.witness
         assert edges_within(graph, witness) > d * len(witness)
         return False
-    assert len(oriented.direction) == graph.m
-    assert set(oriented.direction) == set(graph.edges)
+    assert orients_every_edge(oriented, graph)
     assert oriented.max_in_degree <= d
     return True
+
+
+def orients_every_edge(oriented, graph):
+    """One head per edge of graph, aligned with graph.edges, each an endpoint."""
+    heads = oriented.heads
+    return oriented.graph == graph and len(heads) == graph.m and all(h in e for e, h in zip(graph.edges, heads))
 
 
 def infeasibility_witness(orient, graph, d):
@@ -181,7 +186,7 @@ def test_orientation_repair_paths_are_not_bounded_by_the_recursion_limit():
     assert oriented.max_in_degree == 1
     rank = {v: i for i, v in enumerate(order)}
     start_heads = {e: min(e, key=rank.get) for e in g.edges}
-    assert sum(head != start_heads[e] for e, (_, head) in oriented.direction.items()) == 300
+    assert sum(head != start_heads[e] for e, head in zip(g.edges, oriented.heads)) == 300
 
 
 @given(graphs(max_n=8))
@@ -215,6 +220,11 @@ def test_orientation_d0_edgeless_only():
 def test_orientation_rejects_negative_bound():
     with pytest.raises(ValueError):
         find_orientation(path(2), -1)
+
+
+def test_orientation_rejects_a_non_integer_bound():
+    with pytest.raises(ValueError, match=r"^d must be an integer, got 1\.5$"):
+        find_orientation(Graph(3, [(0, 1)]), 1.5)
 
 
 @given(graphs(max_n=9))
@@ -318,14 +328,14 @@ def test_min_orientation_k4():
 def test_min_orientation_edgeless():
     d, oriented = min_orientation(Graph(3))
     assert d == 0
-    assert oriented.direction == {}
+    assert oriented.heads == ()
 
 
 def test_orientation_from_acyclic_path():
     g = path(3)
     oriented = orientation_from_acyclic(g, VertexColoring(2, [1, 2, 1]))
     assert oriented.max_in_degree <= 1
-    assert set(oriented.direction) == set(g.edges)
+    assert orients_every_edge(oriented, g)
 
 
 def test_orientation_from_acyclic_triangle():
@@ -353,4 +363,4 @@ def test_orientation_from_acyclic_respects_palette_bound(g):
     assert verify_acyclic(g, col)
     oriented = orientation_from_acyclic(g, col)
     assert oriented.max_in_degree <= col.palette - 1
-    assert set(oriented.direction) == set(g.edges)
+    assert orients_every_edge(oriented, g)

@@ -24,7 +24,7 @@ from ectarget.graphs import (
     serialize_oriented,
 )
 from ectarget.universal import build_universal
-from helpers import transpose
+from helpers import arc_map, transpose
 
 
 TRIANGLE_TEXT = "3 3 2\n0 1 1\n1 2 2\n0 2 1"
@@ -34,7 +34,8 @@ def test_parse_triangle():
     ecg = parse_edge_colored(TRIANGLE_TEXT)
     assert ecg.graph.n == 3
     assert ecg.k == 2
-    assert ecg.color == {(0, 1): 1, (0, 2): 1, (1, 2): 2}
+    assert ecg.graph.edges == ((0, 1), (0, 2), (1, 2))
+    assert ecg.colors == (1, 1, 2)
 
 
 def test_parse_single_vertex_no_edges():
@@ -133,7 +134,7 @@ def test_edge_colored_graph_validation():
         EdgeColoredGraph(g, 2, [((0, 1), 1), ((1, 0), 1)])
     # any pairs dict() accepts, stored in sorted edge order
     colored = EdgeColoredGraph(g, 2, [((2, 1), 2), ((1, 0), 1)])
-    assert list(colored.color.items()) == [((0, 1), 1), ((1, 2), 2)]
+    assert colored.colors == (1, 2)
 
 
 def test_edge_colored_graph_rejects_non_integer_colors_and_palettes():
@@ -163,8 +164,8 @@ def test_oriented_graph_validation():
 
 def test_oriented_graph_spells_arcs_with_the_graph_ids():
     og = OrientedGraph(Graph(3, [(0, 1), (1, 2)]), {(0, 1): (1.0, 0), (2, 1): (1, 2.0)})
-    assert [tuple(map(type, arc)) for arc in og.direction.values()] == [(int, int)] * 2
-    assert og.direction == {(0, 1): (1, 0), (1, 2): (1, 2)}
+    assert list(map(type, og.heads)) == [int, int]
+    assert og.heads == (0, 2)
 
 
 def test_vertex_coloring_validation():
@@ -201,15 +202,16 @@ def test_oriented_round_trip(og):
 
 @given(oriented_graphs())
 def test_parents_and_children_ascend_whatever_the_input_order(og):
-    backwards = OrientedGraph(og.graph, {(v, u): arc for (u, v), arc in reversed(og.direction.items())})
+    arcs = arc_map(og)
+    backwards = OrientedGraph(og.graph, {(v, u): arc for (u, v), arc in reversed(arcs.items())})
     for v in range(og.graph.n):
-        assert backwards.parents[v] == tuple(sorted(t for t, h in og.direction.values() if h == v))
-        assert backwards.children[v] == tuple(sorted(h for t, h in og.direction.values() if t == v))
+        assert backwards.parents[v] == tuple(sorted(t for t, h in arcs.values() if h == v))
+        assert backwards.children[v] == tuple(sorted(h for t, h in arcs.values() if t == v))
 
 
 def test_oriented_parse_direction_flags():
     og = parse_oriented("3 2 1\n0 1 1 >\n1 2 1 <")
-    assert og.direction == {(0, 1): (0, 1), (1, 2): (2, 1)}
+    assert og.heads == (1, 1)
     with pytest.raises(GraphFormatError, match="flag"):
         parse_oriented("2 1 1\n0 1 1 x")
 
@@ -228,7 +230,7 @@ def test_homomorphism_round_trip():
 def test_transpose_flips_every_edge():
     og = parse_oriented("3 2 1\n0 1 1 >\n1 2 1 <")
     back = transpose(og)
-    assert back.direction == {(0, 1): (1, 0), (1, 2): (1, 2)}
+    assert back.heads == (0, 2)
     assert transpose(back) == og
 
 
@@ -251,14 +253,14 @@ def assert_same_graph(got, want):
 def assert_same_colored(got, want):
     assert got == want
     assert_same_graph(got.graph, want.graph)
-    assert list(got.color.items()) == list(want.color.items())
+    assert type(got.colors) is tuple and got.colors == want.colors
     assert got.by_color == want.by_color
 
 
 def assert_same_oriented(got, want):
     assert got == want
     assert_same_graph(got.graph, want.graph)
-    assert list(got.direction.items()) == list(want.direction.items())
+    assert type(got.heads) is tuple and got.heads == want.heads
     assert got.parents == want.parents and got.children == want.children
 
 
@@ -268,11 +270,12 @@ def shuffled_lines(draw):
     edge, in a random order with the endpoints either way round, plus the
     positions of comment lines among the rows."""
     ecg = draw(edge_colored_graphs())
+    color = dict(zip(ecg.graph.edges, ecg.colors))
     rows = []
     for u, v in draw(st.permutations(ecg.graph.edges)):
         arc = (u, v) if draw(st.booleans()) else (v, u)
         a, b = (u, v) if draw(st.booleans()) else (v, u)
-        rows.append((a, b, ecg.color[(u, v)], arc))
+        rows.append((a, b, color[(u, v)], arc))
     comments = draw(st.lists(st.integers(0, len(rows)), max_size=3))
     return ecg, rows, comments
 
@@ -300,17 +303,33 @@ def test_parsers_build_the_records_the_constructors_build(case):
     assert_same_oriented(parse_oriented(_file(f"{n} {m} 1", flags, comments)), oriented)
 
 
+@given(shuffled_lines())
+def test_serialize_after_parse_writes_the_canonical_file(case):
+    ecg, rows, comments = case
+    n, m = ecg.graph.n, ecg.graph.m
+    oriented = OrientedGraph(ecg.graph, {(a, b): arc for a, b, _, arc in rows})
+    flags = (f"{a} {b} 1 {'>' if arc == (a, b) else '<'}" for a, b, _, arc in rows)
+    colored_text = _file(f"{n} {m} {ecg.k}", (f"{a} {b} {c}" for a, b, c, _ in rows), comments)
+    for parse, write, record, text in [
+        (parse_edge_colored, serialize, ecg, colored_text),
+        (parse_oriented, serialize_oriented, oriented, _file(f"{n} {m} 1", flags, comments)),
+    ]:
+        canonical = write(record)
+        assert write(parse(text)) == canonical
+        assert write(parse(canonical)) == canonical
+
+
 @given(graphs())
 def test_find_orientation_builds_the_record_the_constructor_builds(g):
     _, oriented = min_orientation(g)
     for got in (oriented, find_orientation(g, g.n)):
-        assert_same_oriented(got, OrientedGraph(Graph(g.n, g.edges), list(got.direction.items())[::-1]))
+        assert_same_oriented(got, OrientedGraph(Graph(g.n, g.edges), list(arc_map(got).items())[::-1]))
 
 
 @pytest.mark.parametrize("q, d, k", [(1, 0, 2), (2, 1, 2), (2, 2, 3), (3, 1, 2), (3, 2, 2)])
 def test_explicit_target_is_the_record_the_constructor_builds(q, d, k):
     got = build_universal(q, d, k).to_edge_colored_graph()
-    pairs = list(got.color.items())[::-1]
+    pairs = list(zip(got.graph.edges, got.colors))[::-1]
     assert_same_colored(got, EdgeColoredGraph(Graph(got.graph.n, [e for e, _ in pairs]), k, pairs))
 
 

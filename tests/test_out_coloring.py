@@ -460,7 +460,13 @@ def test_reverse_construction_reports_non_universal_target():
     with pytest.raises(TargetNotUniversal) as exc_info:
         out_coloring_from_universal(og, bad, 2)
     # the witness is the derived coloring that found no homomorphism
-    assert exc_info.value.witness.color == {(0, 1): 1}
+    assert exc_info.value.witness.colors == (1,)
+
+
+def test_reverse_construction_rejects_a_non_integer_palette():
+    target = build_universal(2, 1, 2).to_edge_colored_graph()
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.0$"):
+        out_coloring_from_universal(directed_path(3), target, 2.0)
 
 
 def test_reverse_construction_triangle_against_tuple_target():

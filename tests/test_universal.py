@@ -2,7 +2,9 @@ import contextlib
 import itertools
 import math
 import random
+import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 import ectarget
 from conftest import edge_colored_graphs, graphs
 from ectarget.coloring import greedy_star_coloring
-from ectarget.density import min_orientation
+from ectarget.density import find_orientation, min_orientation
 from ectarget.graphs import (
     EdgeColoredGraph,
     Graph,
@@ -20,6 +22,8 @@ from ectarget.graphs import (
     Limits,
     OrientedGraph,
     VertexColoring,
+    parse_edge_colored,
+    serialize,
 )
 from ectarget.out_coloring import build_out_coloring, out_coloring_from_universal
 from ectarget.universal import (
@@ -97,6 +101,32 @@ def test_build_universal_validates_arguments():
         build_universal(1, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "q, d, k, message",
+    [
+        (2.0, 1, 2, "q must be an integer, got 2.0"),
+        (2, 1.0, 2, "d must be an integer, got 1.0"),
+        (2, 1, 2.0, "k must be an integer, got 2.0"),
+    ],
+)
+def test_build_universal_rejects_non_integer_arguments(q, d, k, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_universal(q, d, k)
+
+
+def test_check_universal_rejects_a_non_integer_palette():
+    target = build_universal(2, 1, 2)
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.0$"):
+        check_universal(target, path(3), 2.0)
+
+
+def test_min_universal_size_rejects_non_integer_arguments():
+    with pytest.raises(ValueError, match=r"^p_max must be an integer, got 2\.0$"):
+        min_universal_size([path(3)], 2, 2.0)
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.0$"):
+        min_universal_size([path(3)], 2.0, 2)
+
+
 def test_vertex_count_closed_form_without_materializing():
     target = build_universal(30, 3, 5)
     assert target.vertex_count == closed_form(30, 3, 5)
@@ -125,9 +155,9 @@ def test_explicit_target_colors_match_the_paper_formula():
         if target.vertex_count > Limits().explicit_vertices:
             continue  # (7, 3, 4): 8092 vertices
         vertices = tuple(map(dense.unrank, range(target.vertex_count)))
-        colors = target.to_edge_colored_graph().color
-        assert len(colors) == math.comb(len(vertices), 2)
-        for (a, b), c in colors.items():
+        explicit = target.to_edge_colored_graph()
+        assert len(explicit.colors) == math.comb(len(vertices), 2)
+        for (a, b), c in zip(explicit.graph.edges, explicit.colors):
             assert c == edge_color(vertices[a], vertices[b])
 
 
@@ -220,6 +250,28 @@ def test_build_homomorphism_full_triangle_pipeline():
     target = build_universal(cert.coloring.palette, oriented.max_in_degree, 2)
     hom = build_homomorphism(source, oriented, cert.coloring, target)
     assert verify_homomorphism(source, target, hom)
+
+
+def test_map_pipeline_keeps_a_few_hundred_bytes_per_edge():
+    """map's stages in process, traced from the file text to the verified
+    homomorphism. Per-edge colors and heads are tuples aligned with the
+    edges and each conflict set is a tuple, so the peak stays near 335
+    bytes per edge here; edge-keyed dicts and conflict sets took about 770."""
+    text = serialize(random_coloring(stacked_triangulation(5000, seed=1), 3, random.Random(1)))
+    tracemalloc.start()
+    try:
+        source = parse_edge_colored(text)
+        oriented = find_orientation(source.graph, 3)
+        star = greedy_star_coloring(source.graph)
+        coloring = build_out_coloring(oriented, star).coloring
+        target = build_universal(coloring.palette, 3, 3)
+        verified = verify_homomorphism(source, target, build_homomorphism(source, oriented, coloring, target))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verified
+    m = source.graph.m
+    assert peak <= 450 * m, f"{peak / m:.0f} bytes per edge"
 
 
 def test_build_homomorphism_named_precondition_errors():
@@ -486,7 +538,7 @@ def test_check_universal_counterexample_is_lexicographically_least():
     tgt = EdgeColoredGraph(g, 2, {(0, 1): 1})
     counterexample = check_universal(tgt, g, 2)
     assert counterexample is not None
-    assert counterexample.color == {(0, 1): 2}
+    assert counterexample.colors == (2,)
 
 
 def test_check_universal_full_pipeline_target():

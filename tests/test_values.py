@@ -5,6 +5,7 @@ Each record compares, hashes and prints by its fields, in the dataclass
 format, and refuses assignment and deletion after construction.
 """
 
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -26,11 +27,11 @@ RECORDS = {
     ),
     EdgeColoredGraph: (
         lambda x: EdgeColoredGraph(Graph(2, [(0, 1)]), 2, {(1, 0): 1 + x}),
-        "EdgeColoredGraph(graph=Graph(n=2, edges=((0, 1),)), k=2, color={(0, 1): 1})",
+        "EdgeColoredGraph(graph=Graph(n=2, edges=((0, 1),)), k=2, colors=(1,))",
     ),
     OrientedGraph: (
         lambda x: OrientedGraph(Graph(2, [(0, 1)]), {(0, 1): (1 - x, x)}),
-        "OrientedGraph(graph=Graph(n=2, edges=((0, 1),)), direction={(0, 1): (1, 0)})",
+        "OrientedGraph(graph=Graph(n=2, edges=((0, 1),)), heads=(0,))",
     ),
     VertexColoring: (
         lambda x: VertexColoring(2, [1 + x, 2 - x]),
@@ -63,7 +64,7 @@ RECORDS = {
         "graph_n=4)",
     ),
 }
-HASHABLE = {Graph, VertexColoring, Homomorphism, Density, PowerBound, Limits}
+HASHABLE = {Graph, EdgeColoredGraph, OrientedGraph, VertexColoring, Homomorphism, Density, PowerBound, Limits}
 FIELD = {
     Graph: "n",
     EdgeColoredGraph: "k",
@@ -93,6 +94,20 @@ def test_equality_is_by_fields(cls):
     assert a == b and not a != b
     assert a != other and not a == other
     assert a != object() and not a == "a record"
+
+
+def test_edge_records_from_reordered_maps_are_equal_and_aligned_with_the_edges():
+    graph = Graph(5, [(3, 4), (0, 1), (2, 0), (1, 3), (4, 1)])
+    colors = {(0, 1): 2, (0, 2): 1, (1, 3): 3, (1, 4): 1, (3, 4): 2}
+    arcs = {(0, 1): (1, 0), (0, 2): (0, 2), (1, 3): (3, 1), (1, 4): (1, 4), (3, 4): (4, 3)}
+    reordered = [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(random.Random(5).sample(sorted(colors), 5))]
+    pairs = [(e, tuple(sorted(e))) for e in reordered]
+    colored = {EdgeColoredGraph(graph, 3, colors), EdgeColoredGraph(graph, 3, {e: colors[s] for e, s in pairs})}
+    oriented = {OrientedGraph(graph, arcs), OrientedGraph(graph, {e: arcs[s] for e, s in pairs})}
+    assert len(colored) == len(oriented) == 1
+    (colored,), (oriented,) = colored, oriented
+    assert colored.colors == tuple(colors[e] for e in graph.edges) == (2, 1, 3, 1, 2)
+    assert oriented.heads == tuple(arcs[e][1] for e in graph.edges) == (0, 2, 1, 4, 3)
 
 
 def test_equal_looking_fields_of_another_type_differ():
