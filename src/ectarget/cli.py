@@ -270,93 +270,92 @@ def _cmd_bounds(args):
     return 0, {"value": str(value), "parameters": {"r": r, "d": d, "k": k}}, None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_INT, _NEEDED_INT, _OUTPUT = {"type": int}, {"type": int, "required": True}, ("--output", {})
+_SEED = ("--seed", {"type": int, "default": 0})
+# name: (help, handler, its arguments as (name, add_argument options) pairs)
+_COMMANDS = {
+    "density": ("exact maximum subgraph density", _cmd_density, [("graph", {})]),
+    "orient": ("orientation with bounded in-degree", _cmd_orient, [("graph", {}), ("--d", _INT), _OUTPUT]),
+    "star-color": (
+        "star coloring (greedy or exact)",
+        _cmd_star_color,
+        [("graph", {}), ("--exact", {"type": int, "metavar": "C"}), _SEED, _OUTPUT],
+    ),
+    "out-color": (
+        "out-coloring of an orientation",
+        _cmd_out_color,
+        [("graph", {}), ("--orientation", {"required": True}), _SEED, _OUTPUT],
+    ),
+    "build-target": (
+        "tuple target for (q, d, k)",
+        _cmd_build_target,
+        [
+            ("--q", _NEEDED_INT),
+            ("--d", _NEEDED_INT),
+            ("--k", _NEEDED_INT),
+            ("--explicit", {"action": "store_true"}),
+            _OUTPUT,
+        ],
+    ),
+    "map": (
+        "full pipeline into a universal target",
+        _cmd_map,
+        [("source", {}), ("--k", _INT), _SEED, ("--target", {}), _OUTPUT],
+    ),
+    "verify": ("verify a homomorphism file", _cmd_verify, [("source", {}), ("target", {}), ("homomorphism", {})]),
+    "check-universal": (
+        "exhaustive universality check",
+        _cmd_check_universal,
+        [("target", {}), ("--graph", {"required": True}), ("--k", _NEEDED_INT)],
+    ),
+    "min-target": (
+        "smallest universal target search",
+        _cmd_min_target,
+        [("graphs", {"nargs": "+"}), ("--k", {"type": int, "default": 2}), ("--max-p", _NEEDED_INT), _OUTPUT],
+    ),
+    # its arguments: the flags, each a required int, of each family's subcommand
+    "bounds": (
+        "closed-form bound evaluation",
+        _cmd_bounds,
+        {"planar": ["--k"], "genus": ["--g"], "upper": ["--r", "--d", "--k"]},
+    ),
+}
+
+
+def _build_parser(only=None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand or, where only names
+    one, with that one alone, which parses its arguments alike: building
+    every parser took most of the time of a short command."""
     parser = argparse.ArgumentParser(
         prog="ectarget",
         description="Universal targets for homomorphisms of edge-colored graphs",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("density", parents=[common], help="exact maximum subgraph density")
-    p.add_argument("graph")
-    p.set_defaults(handler=_cmd_density)
-
-    p = sub.add_parser("orient", parents=[common], help="orientation with bounded in-degree")
-    p.add_argument("graph")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--output")
-    p.set_defaults(handler=_cmd_orient)
-
-    p = sub.add_parser("star-color", parents=[common], help="star coloring (greedy or exact)")
-    p.add_argument("graph")
-    p.add_argument("--exact", type=int, default=None, metavar="C")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
-    p.set_defaults(handler=_cmd_star_color)
-
-    p = sub.add_parser("out-color", parents=[common], help="out-coloring of an orientation")
-    p.add_argument("graph")
-    p.add_argument("--orientation", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
-    p.set_defaults(handler=_cmd_out_color)
-
-    p = sub.add_parser("build-target", parents=[common], help="tuple target for (q, d, k)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--explicit", action="store_true")
-    p.add_argument("--output")
-    p.set_defaults(handler=_cmd_build_target)
-
-    p = sub.add_parser("map", parents=[common], help="full pipeline into a universal target")
-    p.add_argument("source")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target")
-    p.add_argument("--output")
-    p.set_defaults(handler=_cmd_map)
-
-    p = sub.add_parser("verify", parents=[common], help="verify a homomorphism file")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("homomorphism")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("check-universal", parents=[common], help="exhaustive universality check")
-    p.add_argument("target")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_check_universal)
-
-    p = sub.add_parser("min-target", parents=[common], help="smallest universal target search")
-    p.add_argument("graphs", nargs="+")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--max-p", type=int, required=True)
-    p.add_argument("--output")
-    p.set_defaults(handler=_cmd_min_target)
-
-    p = sub.add_parser("bounds", parents=[common], help="closed-form bound evaluation")
-    fam = p.add_subparsers(dest="family", required=True)
-    fp = fam.add_parser("planar", parents=[common])
-    fp.add_argument("--k", type=int, required=True)
-    fp.set_defaults(handler=_cmd_bounds, family="planar")
-    fg = fam.add_parser("genus", parents=[common])
-    fg.add_argument("--g", type=int, required=True)
-    fg.set_defaults(handler=_cmd_bounds, family="genus")
-    fu = fam.add_parser("upper", parents=[common])
-    fu.add_argument("--r", type=int, required=True)
-    fu.add_argument("--d", type=int, required=True)
-    fu.add_argument("--k", type=int, required=True)
-    fu.set_defaults(handler=_cmd_bounds, family="upper")
-
+    # with one subcommand, its usage line on an error still names them all
+    names = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        if only not in (None, name):
+            continue
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        if name == "bounds":
+            families = p.add_subparsers(dest="family", required=True)
+            for family, flags in arguments.items():
+                fp = families.add_parser(family, parents=[common])
+                for flag in flags:
+                    fp.add_argument(flag, **_NEEDED_INT)
+                fp.set_defaults(handler=handler, family=family)
+        else:
+            for argument, options in arguments:
+                p.add_argument(argument, **options)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

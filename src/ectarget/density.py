@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from fractions import Fraction
 
 from .coloring import _color_pair_groups, verify_acyclic
 from .graphs import Graph, OrientedGraph, Value, VertexColoring, _check_ints, smallest_last_order
@@ -138,9 +137,10 @@ def _smallest_last_start(graph: Graph) -> tuple[list, list]:
     return heads, in_degrees
 
 
-def _load_flow(graph: Graph, start: tuple[list, list], bound: Fraction) -> tuple[_Dinic, list, list]:
+def _load_flow(graph: Graph, start: tuple[list, list], bound) -> tuple[_Dinic, list, list]:
     """Max flow on n + 2 nodes deciding whether the edges can be spread over
-    the vertices with a load of at most bound = num / den on each.
+    the vertices with a load of at most bound = num / den, a Fraction or an
+    int, on each.
 
     Each edge starts with den units on its head in start. Source n feeds
     each vertex its load above num, each vertex below num drains its spare
@@ -180,6 +180,8 @@ def densest_subgraph(graph: Graph) -> Density:
     Edgeless graphs have density 0, witnessed by a single vertex. Otherwise
     the witness is the largest vertex set achieving the maximum ratio.
     """
+    from fractions import Fraction  # on first use: many commands compute no density, and it costs 3 ms
+
     n, m = graph.n, graph.m
     if m == 0:
         return Density(Fraction(0), (0,))
@@ -215,7 +217,7 @@ def find_orientation(graph: Graph, d: int) -> OrientedGraph:
         raise ValueError(f"in-degree bound must be nonnegative, got {d}")
     start = heads, in_degrees = _smallest_last_start(graph)
     if max(in_degrees) > d:
-        _, arcs, witness = _load_flow(graph, start, Fraction(d))
+        _, arcs, witness = _load_flow(graph, start, d)
         if witness:
             # the reach is closed under parents once the flow is applied, and
             # every vertex in it keeps in-degree >= d, one of them more

@@ -6,9 +6,10 @@ ascending tuple of pairs ``(u, v)`` with ``u < v``. The color and the head of
 ``edges[i]`` are ``EdgeColoredGraph.colors[i]`` and ``OrientedGraph.heads[i]``:
 tuples aligned with it, not maps keyed by edge. ``Graph.adjacency``,
 ``OrientedGraph.parents`` and ``OrientedGraph.children`` hold one ascending
-tuple of ids per vertex, built on first use. All types are frozen after
-construction, by the small ``Value`` base below, and can be shared freely
-across threads.
+tuple of ids per vertex, built on first use, as are the search oracles'
+``Graph.edge_slots`` and ``Graph.edge_automorphisms``. All types are frozen
+after construction, by the small ``Value`` base below, and can be shared
+freely across threads.
 
 Text format (UTF-8, LF newlines): first line ``n m k``, then ``m`` lines
 ``u v c`` with ``u != v``, both in ``0..n-1``, in either order, each edge
@@ -77,6 +78,8 @@ class Limits(namedtuple("Limits", _LIMIT_DEFAULTS, defaults=_LIMIT_DEFAULTS.valu
 
 
 LIMITS = Limits()
+
+AUTOMORPHISM_NODES = 150  # images a Graph.edge_automorphisms search may try
 
 
 class Value:
@@ -151,6 +154,67 @@ class Graph(Value):
             adj[u].append(v)
             adj[v].append(u)
         return tuple(map(tuple, adj))
+
+    @cached_property
+    def edge_slots(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each vertex, its (neighbor, index in edges) pairs, in the order of adjacency."""
+        slots = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.edges):
+            slots[u].append((v, i))
+            slots[v].append((u, i))
+        return tuple(map(tuple, slots))
+
+    @cached_property
+    def edge_automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Automorphisms as the edge permutations they induce, other than the
+        identity: perm[i] is the index in edges of the image of edges[i].
+
+        One backtrack maps the vertices that have edges, each component in
+        breadth-first order, to free vertices of the same degree joined to
+        the images of their mapped neighbors, so every edge maps to an edge.
+        It stops after AUTOMORPHISM_NODES images, so the tuple may hold only
+        part of the group: a caller must be sound with any subset of it.
+        The walk starts from the highest ids, so the backtrack varies the
+        lowest ids first: the automorphisms found first move the first
+        edges, which decide a lexicographic comparison soonest.
+        """
+        adj = self.adjacency
+        order, free, head = [], [False] * self.n, 0
+        for root in reversed(range(self.n)):
+            if adj[root] and not free[root]:
+                free[root] = True
+                order.append(root)
+                while head < len(order):
+                    for w in reversed(adj[order[head]]):
+                        if not free[w]:
+                            free[w] = True
+                            order.append(w)
+                    head += 1
+        # free now marks the vertices that have edges, none of them an image yet
+        index = {}
+        for i, (u, v) in enumerate(self.edges):
+            index[u, v] = index[v, u] = i
+        image, found, budget = [-1] * self.n, {}, AUTOMORPHISM_NODES
+
+        def place(depth):
+            nonlocal budget
+            if depth == len(order):
+                found[tuple(index[image[u], image[v]] for u, v in self.edges)] = None
+                return
+            v = order[depth]
+            images = [image[w] for w in adj[v] if image[w] >= 0]
+            for x in adj[images[0]] if images else order:
+                if free[x] and len(adj[x]) == len(adj[v]) and all(y in adj[x] for y in images):
+                    if not budget:
+                        return
+                    budget -= 1
+                    image[v], free[x] = x, False
+                    place(depth + 1)
+                    image[v], free[x] = -1, True
+
+        place(0)
+        found.pop(tuple(range(self.m)), None)
+        return tuple(found)
 
 
 def smallest_last_order(adjacency) -> list:

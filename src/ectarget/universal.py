@@ -15,9 +15,10 @@ colors never walk all q coordinates. The explicit graph of a small target
 comes from the same _unrank and _color; no dense tuple is ever built.
 
 The module also hosts the search oracles: fail-first backtracking homomorphism
-search, exhaustive universality checking over all k-edge-colorings of a
-graph, and exhaustive minimum-universal-target search over tiny instances,
-which generates only the least candidate of each symmetry class.
+search, exhaustive universality checking over the k-edge-colorings of a
+graph, one per class under the graph's automorphisms, and exhaustive
+minimum-universal-target search over tiny instances, which generates only the
+least candidate of each symmetry class.
 """
 
 from __future__ import annotations
@@ -210,12 +211,6 @@ def _search_target(target, source_n: int, limits: Limits) -> EdgeColoredGraph:
 _EMPTY = frozenset()
 
 
-def _edge_slots(graph: Graph) -> list:
-    """For each vertex, its (neighbor, index in graph.edges) pairs."""
-    index = {e: i for i, e in enumerate(graph.edges)}
-    return [[(w, index[min(v, w), max(v, w)]) for w in nbrs] for v, nbrs in enumerate(graph.adjacency)]
-
-
 def _extend(slots, colors, by_color, domains, assigned) -> bool:
     """Fail-first search: True iff each vertex of domains (owned) can take an
     id from its set, written to assigned, with edge slot i colored colors[i].
@@ -253,7 +248,7 @@ def find_homomorphism(source: EdgeColoredGraph, target, limits: Limits = LIMITS)
     target = _search_target(target, graph.n, limits)
     assigned = [-1] * graph.n
     everything = frozenset(range(target.graph.n))
-    if _extend(_edge_slots(graph), source.colors, target.by_color, dict.fromkeys(range(graph.n), everything), assigned):
+    if _extend(graph.edge_slots, source.colors, target.by_color, dict.fromkeys(range(graph.n), everything), assigned):
         return Homomorphism(assigned)
     return None
 
@@ -266,11 +261,19 @@ def check_universal(
 ) -> EdgeColoredGraph | None:
     """First k-edge-coloring of the graph with no homomorphism, or None.
 
-    Colorings are enumerated lexicographically over the sorted edge list, so
-    a returned counterexample is the lexicographically least one. Each first
+    Colorings are words over the sorted edge list. Only the leaders are
+    searched, in lexicographic order: the words that no permutation in
+    graph.edge_automorphisms makes smaller (Crawford, Ginsberg, Luks and Roy
+    1996). A coloring and its image under an automorphism have a
+    homomorphism or not together, so, with any subset of the automorphisms,
+    the first leader that fails is the lexicographically least coloring with
+    no homomorphism: the counterexample returned. Each coloring first
     repairs the last one's homomorphism, searching only the endpoints of the
-    recolored edges, then searches from scratch. A k other than the target's
-    edge palette is a ValueError.
+    edges from the first recolored one on, then searches from scratch. The
+    all-1 coloring, always a leader, is searched before the automorphisms
+    are sought; where none is found, every coloring leads and
+    itertools.product walks them. A k other than the target's edge palette
+    is a ValueError.
     """
     _check_ints(k=k)
     if k != target.k:
@@ -280,7 +283,7 @@ def check_universal(
     limits.check("colorings", k ** min(m, limits.colorings.bit_length()), f"enumerating {k}^{m} colorings")
     target = _search_target(target, graph.n, limits)
     edges = graph.edges
-    slots = _edge_slots(graph)
+    slots = graph.edge_slots
     by_color = target.by_color
     everything = frozenset(range(target.graph.n))
     # frees[j]: each endpoint of edges[j:] with its slots to the other vertices
@@ -299,26 +302,39 @@ def check_universal(
             domains[v] = domain
         return _extend(slots, colors, by_color, domains, assigned)
 
-    for colors in itertools.product(range(1, k + 1), repeat=m):
-        # this coloring recolors edges[j:] of the last one (all at first;
-        # j = -1 only when m = 0, and frees[-1] = frees[m] is empty)
-        j = m - 1
-        while j > 0 and colors[j] == 1:
-            j -= 1
-        if not (search(j, colors) or j and search(0, colors)):
-            return EdgeColoredGraph(graph, k, dict(zip(edges, colors)))
-    return None
+    colors = (1,) * m
+    if search(0, colors):
+        maps, letters = graph.edge_automorphisms if m > 1 else (), range(1, k + 1)
+        words = _canonical_words(m, letters, maps, False) if maps else itertools.product(letters, repeat=m)
+        next(words)  # the all-1 coloring, searched above
+        for word in words:  # j: the first edge that word recolors
+            if maps:
+                j = 0
+                while word[j] == colors[j]:
+                    j += 1
+            else:  # product changes no letter before its last one above 1
+                j = m - 1
+                while word[j] == 1:
+                    j -= 1
+            colors = word
+            if not (search(j, colors) or j and search(0, colors)):
+                break
+        else:
+            return None
+    return EdgeColoredGraph(graph, k, dict(zip(edges, colors)))
 
 
-def _canonical_words(length: int, k: int, vertex_maps):
-    """Lazily, in lexicographic order, each word over 0..k that no vertex map,
-    its colors then relabeled in order of first appearance, makes smaller.
+def _canonical_words(length: int, letters: range, vertex_maps, relabel: bool):
+    """Lazily, in lexicographic order, each word over letters that no vertex
+    map makes smaller, its colors then relabeled in order of first appearance
+    where relabel is set (letters then start at 0, a letter kept as it is).
 
-    Orderly generation (Read 1978): a depth-first walk over the words whose
-    colors first appear in increasing order. Each prefix keeps the maps still
-    tied with it, with the next image position j to compare and the relabeling
-    so far (-1 for a color not yet seen). Image position j is fixed once
-    assign[vmap[:j + 1]] is: a smaller one prunes the subtree, a larger one drops the map.
+    Orderly generation (Read 1978): a depth-first walk over the words, with
+    colors first appearing in increasing order where relabel is set. Each
+    prefix keeps the maps still tied with it, with the next image position j
+    to compare and its relabeling table so far (-1 for a color not yet
+    seen). Image position j is fixed once assign[vmap[:j + 1]] is: a smaller
+    one prunes the subtree, a larger one drops the map.
     """
     assign = [0] * length
 
@@ -326,29 +342,30 @@ def _canonical_words(length: int, k: int, vertex_maps):
         if t == length:
             yield tuple(assign)
             return
-        for x in range(min(top + 1, k) + 1):
+        for x in letters[:top + 2] if relabel else letters:
             assign[t] = x
             still = []
             for entry in tied:
-                vmap, j, relabel, labels = entry
+                vmap, j, table, labels = entry
                 while j <= t and vmap[j] <= t:
                     c = assign[vmap[j]]
-                    y = relabel[c]
+                    y = table[c]
                     if y < 0:
                         labels = y = labels + 1
-                        relabel = relabel[:c] + (y,) + relabel[c + 1:]
+                        table = table[:c] + (y,) + table[c + 1:]
                     if y != assign[j]:
                         break
                     j += 1
                 else:  # still tied: a map with no new position keeps its entry
-                    still.append(entry if j == entry[1] else (vmap, j, relabel, labels))
+                    still.append(entry if j == entry[1] else (vmap, j, table, labels))
                     continue
                 if y < assign[j]:
                     break
             else:
                 yield from grow(t + 1, still, max(top, x))
 
-    start = (0,) + (-1,) * min(k, length)  # a word has at most min(k, length) colors
+    # a relabeled word has at most min(k, length) colors; otherwise each keeps its letter
+    start = (0,) + (-1,) * min(len(letters) - 1, length) if relabel else range(letters.stop)
     yield from grow(0, [(vmap, 0, start, 0) for vmap in vertex_maps], 0)
 
 
@@ -385,7 +402,7 @@ def min_universal_size(
             tuple(pair_index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs)
             for perm in itertools.permutations(range(p))
         ]
-        for assign in _canonical_words(len(pairs), k, vertex_maps):
+        for assign in _canonical_words(len(pairs), range(k + 1), vertex_maps, True):
             candidate = _explicit(p, k, {pairs[i]: c for i, c in enumerate(assign) if c})
             for g, seen in zip(graphs, refuted):
                 if any(find_homomorphism(c, candidate, limits) is None for c in seen):

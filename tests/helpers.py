@@ -69,6 +69,10 @@ def cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def star(n: int) -> Graph:
+    return Graph(n, [(0, v) for v in range(1, n)])
+
+
 def grid(rows: int, cols: int) -> Graph:
     def vid(r, c):
         return r * cols + c

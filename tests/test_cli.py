@@ -396,6 +396,44 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map", "s.g", "--k", "3", "--seed", "2", "--target", "t.h", "--format", "text"],
+        ["bounds", "upper", "--r", "1", "--d", "2", "--k", "3"],
+        ["check-universal", "t.h", "--graph", "g.g", "--k", "2"],
+        ["min-target", "a.g", "b.g", "--max-p", "3"],
+        ["star-color", "g.g", "--exact", "4", "--output", "o"],
+    ],
+)
+def test_one_subcommand_parser_parses_as_the_full_parser(argv):
+    assert vars(cli._build_parser(argv[0]).parse_args(argv)) == vars(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "-h"] for name in cli._COMMANDS]
+    + [["bounds", family, "-h"] for family in ("planar", "genus", "upper")]
+    + [["density", "a.g", "b.g"], ["map"], ["bounds", "genus"], ["orient", "g", "--d", "x"], ["verify", "--format", "xml"]],
+)
+def test_one_subcommand_parser_prints_as_the_full_parser(argv, capsys):
+    printed = []
+    for only in (argv[0], None):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser(only).parse_args(argv)
+        printed.append((exc.value.code, capsys.readouterr()))
+    assert printed[0] == printed[1]
+
+
+def test_main_builds_the_named_subcommand_parser_alone(monkeypatch, capsys):
+    built, build = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: built.append(only) or build(only))
+    for argv in (["bounds", "planar", "--k", "2"], ["no-such-command"], [], ["--help"]):
+        cli.main(argv)
+    capsys.readouterr()
+    assert built == ["bounds", None, None, None]
+
+
 def test_guard_exceeded_exits_three(tmp_path, capsys):
     graph_file = tmp_path / "k2.g"
     graph_file.write_text(K2)
@@ -556,7 +594,7 @@ def test_text_format_smoke(tmp_path, capsys):
 def test_cli_starts_without_the_introspection_modules():
     # -S keeps site's own imports out of the check
     src = str(Path(cli.__file__).resolve().parent.parent)
-    heavy = ("dataclasses", "inspect", "typing", "ast", "dis")
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "fractions", "decimal")
     probe = f"import sys, ectarget.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)

@@ -1,9 +1,12 @@
+import itertools
+import random
 import re
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import ectarget
 from conftest import edge_colored_graphs, graphs, oriented_graphs
 from ectarget.density import find_orientation, min_orientation
 from ectarget.graphs import (
@@ -24,7 +27,7 @@ from ectarget.graphs import (
     serialize_oriented,
 )
 from ectarget.universal import build_universal
-from helpers import arc_map, transpose
+from helpers import arc_map, clique, cycle, grid, random_graph, transpose
 
 
 TRIANGLE_TEXT = "3 3 2\n0 1 1\n1 2 2\n0 2 1"
@@ -365,3 +368,40 @@ FIRST_FAULT = [
 def test_the_first_fault_is_reported(parse, text, message):
     with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
         parse(text)
+
+
+def brute_edge_automorphisms(graph: Graph) -> set:
+    """The edge permutation of every vertex permutation that keeps the edge set, but the identity."""
+    index = {e: i for i, e in enumerate(graph.edges)}
+    found = set()
+    for perm in itertools.permutations(range(graph.n)):
+        images = [tuple(sorted((perm[u], perm[v]))) for u, v in graph.edges]
+        if all(e in index for e in images):
+            found.add(tuple(map(index.__getitem__, images)))
+    found.discard(tuple(range(graph.m)))
+    return found
+
+
+def test_edge_automorphisms_of_small_graphs_are_the_group_or_a_part_of_it():
+    rng = random.Random(27)
+    # isolated vertices, several components, an edge whose endpoints swap
+    # to the same edge permutation, and dense and sparse random graphs
+    fixed = [cycle(6), clique(4), grid(2, 3), Graph(7, [(0, 1), (3, 4), (4, 5), (5, 3)]), Graph(4, [(1, 2)]), Graph(3)]
+    capped = []
+    for graph in fixed + [random_graph(rng.randint(1, 7), rng.uniform(0.2, 0.9), rng) for _ in range(40)]:
+        group, perms = brute_edge_automorphisms(graph), graph.edge_automorphisms
+        assert len(perms) == len(set(perms)) and set(perms) <= group
+        capped.append(len(perms) < len(group))
+        # with no cap in reach, the backtrack finds the whole group
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ectarget.graphs, "AUTOMORPHISM_NODES", 10**6)
+            perms = Graph(graph.n, graph.edges).edge_automorphisms
+        assert len(perms) == len(set(perms)) and set(perms) == group
+    assert True in capped and False in capped
+
+
+def test_edge_automorphisms_leave_isolated_vertices_out():
+    # mapping the nine isolated vertices too would spend the search's node
+    # budget on their 9! permutations under the first map of the triangle
+    triangle = Graph(12, [(9, 10), (9, 11), (10, 11)])
+    assert set(triangle.edge_automorphisms) == brute_edge_automorphisms(clique(3))

@@ -15,6 +15,7 @@ from conftest import edge_colored_graphs, graphs
 from ectarget.coloring import greedy_star_coloring
 from ectarget.density import find_orientation, min_orientation
 from ectarget.graphs import (
+    AUTOMORPHISM_NODES,
     EdgeColoredGraph,
     Graph,
     GuardExceeded,
@@ -52,6 +53,7 @@ from helpers import (
     random_graph,
     recursion_limit,
     stacked_triangulation,
+    star,
     static_order_homomorphism,
 )
 
@@ -478,10 +480,10 @@ def test_out_coloring_from_universal_keeps_its_pinned_colorings(n, assign):
 
 
 @contextlib.contextmanager
-def counting_index_builds():
-    """Yield the list of graphs whose colored adjacency gets built meanwhile."""
+def counting_index_builds(index=EdgeColoredGraph.by_color):
+    """Yield the list of graphs whose index, a cached property (by default
+    the colored adjacency), gets built meanwhile."""
     built = []
-    index = EdgeColoredGraph.by_color
     build = index.func
 
     def counted(colored):
@@ -541,6 +543,18 @@ def test_check_universal_counterexample_is_lexicographically_least():
     assert counterexample.colors == (2,)
 
 
+def test_check_universal_repairs_from_the_first_recolored_edge():
+    # on the path 3-0-2-1 the leaders (1, 1, 2) and (1, 2, 2) first differ at
+    # edge (0, 3), whose ends no later edge touches: a repair from a later
+    # edge keeps both their images and misses the counterexample
+    source = Graph(4, [(0, 2), (0, 3), (1, 2)])
+    target = EdgeColoredGraph(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), 2, {(0, 1): 2, (0, 2): 1, (0, 3): 1, (1, 2): 1})
+    assert source.edge_automorphisms
+    counterexample = check_universal(target, source, 2)
+    assert counterexample == memoryless_check_universal(target, source, 2)
+    assert counterexample.colors == (1, 2, 2)
+
+
 def test_check_universal_full_pipeline_target():
     g = clique(3)
     _, oriented = min_orientation(g)
@@ -550,14 +564,30 @@ def test_check_universal_full_pipeline_target():
     assert check_universal(target, g, 2) is None
 
 
+# sources with many automorphisms, so that few colorings lead their orbits
+SYMMETRIC = [cycle(4), cycle(5), cycle(6), grid(2, 2), grid(2, 3), clique(3), clique(4), star(5), star(6)]
+# sources whose only automorphism is the identity, so that every coloring leads
+ASYMMETRIC = [
+    Graph(6, [(0, 4), (0, 5), (1, 4), (2, 3), (2, 5), (4, 5)]),
+    Graph(6, [(0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 5)]),
+    Graph(7, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 3), (1, 6), (2, 4)]),
+    Graph(7, [(0, 2), (0, 4), (0, 6), (1, 6), (2, 3), (2, 5), (2, 6), (3, 4), (4, 6)]),
+]
+
+
 def check_pairs(count: int, seed: int):
-    """Seeded (target, graph, k): k in {2, 3}, a source of up to 6 vertices
-    with at most 3^6 colorings, and an explicit target of up to 6 vertices or
-    a tuple target of at most 57."""
+    """Seeded (target, graph, k): k in {2, 3}, a source of up to 7 vertices
+    with at most 3^6 colorings, two fifths of them from SYMMETRIC and one
+    fifth from ASYMMETRIC, and an explicit target of up to 6 vertices or a
+    tuple target of at most 57."""
     rng = random.Random(seed)
     for _ in range(count):
         k = rng.choice((2, 3))
-        graph = random_graph(rng.randint(1, 6), rng.uniform(0.2, 0.8), rng)
+        draw = rng.random()
+        if draw < 0.6:
+            graph = rng.choice([g for g in (SYMMETRIC if draw < 0.4 else ASYMMETRIC) if k**g.m <= 729])
+        else:
+            graph = random_graph(rng.randint(1, 6), rng.uniform(0.2, 0.8), rng)
         while k**graph.m > 729:
             graph = random_graph(graph.n, 0.4, rng)
         if rng.random() < 0.5:
@@ -569,11 +599,80 @@ def check_pairs(count: int, seed: int):
 
 def test_check_universal_agrees_with_the_memoryless_reference():
     outcomes = set()
-    for target, graph, k in check_pairs(150, seed=18):
+    for target, graph, k in check_pairs(200, seed=18):
         counterexample = check_universal(target, graph, k)
         assert counterexample == memoryless_check_universal(target, graph, k)
-        outcomes.add(counterexample is None)
-    assert outcomes == {True, False}
+        outcomes.add((counterexample is None, graph in SYMMETRIC, graph in ASYMMETRIC))
+    assert outcomes == {(found, *kind) for found in (True, False) for kind in ((True, False), (False, True), (False, False))}
+
+
+@pytest.mark.parametrize(
+    "graph, header, searched",
+    [(grid(2, 4), (4, 2, 2), 312), (clique(4), (3, 2, 3), 66), (cycle(8), (3, 1, 3), 498)],
+)
+def test_check_universal_searches_one_coloring_per_orbit(monkeypatch, graph, header, searched):
+    # the orbit counts under the full automorphism group (of 1,024, 729 and
+    # 6,561 colorings): a part of the group searches more
+    words, generate = [], ectarget.universal._canonical_words
+
+    def recorded(*args):
+        for word in generate(*args):
+            words.append(word)
+            yield word
+
+    monkeypatch.setattr(ectarget.universal, "_canonical_words", recorded)
+    assert check_universal(build_universal(*header), graph, header[2]) is None
+    assert len(words) == searched
+
+
+@pytest.mark.parametrize("graph, leaders_only", [(cycle(5), True)] + [(graph, False) for graph in ASYMMETRIC])
+def test_check_universal_walks_every_coloring_where_no_automorphism_is_found(monkeypatch, graph, leaders_only):
+    # every coloring leads its orbit then, and itertools.product walks them faster
+    calls, generate = [], ectarget.universal._canonical_words
+    monkeypatch.setattr(ectarget.universal, "_canonical_words", lambda *args: calls.append(args) or generate(*args))
+    assert (graph.edge_automorphisms == ()) != leaders_only
+    for target, universal in ((build_universal(3, 1, 2), True), (build_universal(2, 1, 2), False)):
+        counterexample = check_universal(target, graph, 2)
+        assert counterexample == memoryless_check_universal(target, graph, 2)
+        assert (counterexample is None) == universal
+    assert len(calls) == 2 * leaders_only
+
+
+@pytest.mark.parametrize(
+    "graph, k",
+    [(cycle(5), 3), (grid(2, 3), 2), (clique(4), 2), (star(6), 2), (Graph(6, [(0, 1), (2, 3), (3, 4)]), 3)],
+)
+def test_colorings_searched_are_those_no_automorphism_makes_smaller(graph, k):
+    # brute force over every coloring and every automorphism found
+    maps = graph.edge_automorphisms
+    leaders = [
+        word
+        for word in itertools.product(range(1, k + 1), repeat=graph.m)
+        if all(word <= tuple(word[i] for i in perm) for perm in maps)
+    ]
+    assert list(_canonical_words(graph.m, range(1, k + 1), maps, False)) == leaders
+
+
+@pytest.mark.parametrize("graph", [star(12), Graph(12, [(0, 1)]), Graph(12, [(v, v + 1) for v in range(0, 12, 2)])])
+def test_check_universal_bounds_the_automorphism_search(graph):
+    # K1,11 has 11! automorphisms, the edge with ten isolated vertices 2·10!
+    # vertex maps and the perfect matching 2^6·6!
+    for target in (build_universal(2, 1, 2), build_universal(1, 1, 2)):
+        start = time.perf_counter()
+        counterexample = check_universal(target, graph, 2)
+        assert time.perf_counter() - start < 2.0
+        assert counterexample == memoryless_check_universal(target, graph, 2)
+    assert len(graph.edge_automorphisms) <= AUTOMORPHISM_NODES
+    assert graph.edge_automorphisms or graph.m == 1
+
+
+def test_check_universal_seeks_no_automorphisms_for_a_failing_all_one_coloring_or_one_edge():
+    edge = Graph(2, [(0, 1)])
+    with counting_index_builds(Graph.edge_automorphisms) as built:
+        counterexample = check_universal(EdgeColoredGraph(edge, 2, {(0, 1): 2}), clique(3), 2)
+        assert counterexample.colors == (1, 1, 1)
+        assert check_universal(EdgeColoredGraph(path(3), 2, {(0, 1): 1, (1, 2): 2}), edge, 2) is None
+    assert built == []
 
 
 @contextlib.contextmanager
@@ -628,16 +727,16 @@ def test_min_target_candidates_are_the_least_word_of_each_class(p, k):
         min(tuple(cmap[word[slot]] for slot in vmap) for vmap in vertex_maps for cmap in color_maps)
         for word in itertools.product(range(k + 1), repeat=length)
     }
-    assert list(_canonical_words(length, k, vertex_maps)) == sorted(least)
+    assert list(_canonical_words(length, range(k + 1), vertex_maps, True)) == sorted(least)
 
 
 @pytest.mark.parametrize("p, k", [(3, 3), (4, 2), (4, 3)])
 def test_canonical_ignores_the_order_of_the_vertex_maps(p, k):
     length, vertex_maps = pair_maps(p)
-    words = list(_canonical_words(length, k, vertex_maps))
+    words = list(_canonical_words(length, range(k + 1), vertex_maps, True))
     rng = random.Random(p * 10 + k)
     for _ in range(3):
-        assert list(_canonical_words(length, k, rng.sample(vertex_maps, len(vertex_maps)))) == words
+        assert list(_canonical_words(length, range(k + 1), rng.sample(vertex_maps, len(vertex_maps)), True)) == words
 
 
 # canonical words on p vertices with k colors, by p, for k = 2, 3, 4, 5
@@ -647,7 +746,7 @@ CANONICAL_WORD_COUNTS = {1: (1, 1, 1, 1), 2: (2, 2, 2, 2), 3: (6, 7, 7, 7), 4: (
 @pytest.mark.parametrize("p, k", [(p, k) for p, counts in CANONICAL_WORD_COUNTS.items() for k in range(2, 2 + len(counts))])
 def test_canonical_words_match_the_reference_in_order(p, k):
     length, vertex_maps = pair_maps(p)
-    words = list(_canonical_words(length, k, vertex_maps))
+    words = list(_canonical_words(length, range(k + 1), vertex_maps, True))
     assert len(words) == CANONICAL_WORD_COUNTS[p][k - 2]
     if p <= 4 or k <= 3:  # the reference tests every restricted-growth word on its own
         assert words == [w for w in _restricted_growth(length, k) if _canonical(w, list(vertex_maps))]
@@ -723,6 +822,23 @@ def test_min_universal_size_meets_a_guard_where_the_reference_does(second, limit
             search(graphs, 2, 3, limits)
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
+
+
+def test_min_universal_size_builds_each_graph_index_once(monkeypatch):
+    # every replay and every full check of a graph reads the same edge slots
+    # and automorphisms
+    graphs, replayed = [path(3), cycle(4)], []
+    find = ectarget.universal.find_homomorphism
+
+    def search_spy(source, *rest):
+        replayed.append(source)
+        return find(source, *rest)
+
+    monkeypatch.setattr(ectarget.universal, "find_homomorphism", search_spy)
+    with counting_index_builds(Graph.edge_slots) as slots, counting_index_builds(Graph.edge_automorphisms) as groups:
+        assert min_universal_size(graphs, 2, 4) == memoryless_min_universal_size(graphs, 2, 4)
+    assert len(replayed) > 10
+    assert sorted(map(id, slots)) == sorted(map(id, groups)) == sorted(map(id, graphs))
 
 
 def test_min_universal_size_never_reaches_a_graph_after_one_no_candidate_admits():
