@@ -5,122 +5,85 @@ with bounded in-degree, star-color it, lift the star coloring to an
 out-coloring of the orientation, build the tuple-structured universal target,
 and map the colored graph into it with an explicitly verified homomorphism.
 Closed-form size bounds and exhaustive desk-scale oracles round it out.
+
+Importing the package loads no submodule: each public name, and each
+submodule, is imported on first access (PEP 562), so a command compiles only
+the stages it runs.
 """
 
-from .bounds import (
-    BoundReport,
-    PowerBound,
-    ceil_log,
-    ceil_sqrt,
-    clique_genus,
-    genus_density_bounds,
-    orientation_bound_from_target,
-    planar_bounds,
-    universal_lower_bound,
-    universal_upper_bound,
-)
-from .coloring import (
-    exact_star_coloring,
-    greedy_star_coloring,
-    verify_acyclic,
-    verify_star,
-)
-from .density import (
-    Density,
-    OrientationInfeasible,
-    densest_subgraph,
-    find_orientation,
-    min_orientation,
-    orientation_from_acyclic,
-)
-from .graphs import (
-    EdgeColoredGraph,
-    Graph,
-    GraphFormatError,
-    GuardExceeded,
-    Homomorphism,
-    Limits,
-    OrientedGraph,
-    VertexColoring,
-    parse_edge_colored,
-    parse_graph,
-    parse_homomorphism,
-    parse_oriented,
-    serialize,
-    serialize_coloring,
-    serialize_graph,
-    serialize_homomorphism,
-    serialize_oriented,
-)
-from .out_coloring import (
-    OutColoringCertificate,
-    TargetNotUniversal,
-    build_out_coloring,
-    out_coloring_from_universal,
-    serialize_certificate,
-    verify_out_coloring,
-)
-from .universal import (
-    UniversalTarget,
-    build_homomorphism,
-    build_universal,
-    check_universal,
-    find_homomorphism,
-    min_universal_size,
-    verify_homomorphism,
-)
+import importlib
+
+# submodule -> the public names it defines
+_EXPORTS = {
+    "bounds": (
+        "BoundReport",
+        "PowerBound",
+        "ceil_log",
+        "ceil_sqrt",
+        "clique_genus",
+        "genus_density_bounds",
+        "orientation_bound_from_target",
+        "planar_bounds",
+        "universal_lower_bound",
+        "universal_upper_bound",
+    ),
+    "coloring": ("exact_star_coloring", "greedy_star_coloring", "verify_acyclic", "verify_star"),
+    "density": (
+        "Density",
+        "OrientationInfeasible",
+        "densest_subgraph",
+        "find_orientation",
+        "min_orientation",
+        "orientation_from_acyclic",
+    ),
+    "graphs": (
+        "EdgeColoredGraph",
+        "Graph",
+        "GraphFormatError",
+        "GuardExceeded",
+        "Homomorphism",
+        "Limits",
+        "OrientedGraph",
+        "VertexColoring",
+        "parse_edge_colored",
+        "parse_graph",
+        "parse_homomorphism",
+        "parse_oriented",
+        "serialize",
+        "serialize_coloring",
+        "serialize_graph",
+        "serialize_homomorphism",
+        "serialize_oriented",
+    ),
+    "out_coloring": (
+        "OutColoringCertificate",
+        "TargetNotUniversal",
+        "build_out_coloring",
+        "out_coloring_from_universal",
+        "serialize_certificate",
+    ),
+    "universal": (
+        "UniversalTarget",
+        "build_homomorphism",
+        "build_universal",
+        "check_universal",
+        "find_homomorphism",
+        "min_universal_size",
+        "verify_homomorphism",
+        "verify_out_coloring",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "Density",
-    "EdgeColoredGraph",
-    "Graph",
-    "GraphFormatError",
-    "GuardExceeded",
-    "Homomorphism",
-    "Limits",
-    "OrientationInfeasible",
-    "OrientedGraph",
-    "OutColoringCertificate",
-    "PowerBound",
-    "TargetNotUniversal",
-    "UniversalTarget",
-    "VertexColoring",
-    "build_homomorphism",
-    "build_out_coloring",
-    "build_universal",
-    "ceil_log",
-    "ceil_sqrt",
-    "check_universal",
-    "clique_genus",
-    "densest_subgraph",
-    "exact_star_coloring",
-    "find_homomorphism",
-    "find_orientation",
-    "genus_density_bounds",
-    "greedy_star_coloring",
-    "min_orientation",
-    "min_universal_size",
-    "orientation_bound_from_target",
-    "orientation_from_acyclic",
-    "out_coloring_from_universal",
-    "parse_edge_colored",
-    "parse_graph",
-    "parse_homomorphism",
-    "parse_oriented",
-    "planar_bounds",
-    "serialize",
-    "serialize_certificate",
-    "serialize_coloring",
-    "serialize_graph",
-    "serialize_homomorphism",
-    "serialize_oriented",
-    "universal_lower_bound",
-    "universal_upper_bound",
-    "verify_acyclic",
-    "verify_homomorphism",
-    "verify_out_coloring",
-    "verify_star",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS or name == "cli":
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value

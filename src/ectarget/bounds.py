@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 
-from .density import densest_subgraph
 from .graphs import Graph, Value
 
 
@@ -82,6 +81,8 @@ def universal_upper_bound(r: int, d: int, k: int) -> int:
 
 def universal_lower_bound(graph: Graph, k: int) -> PowerBound:
     """Every universal target for a graph needs at least k^density vertices."""
+    from .density import densest_subgraph  # on first use: no other bound needs it
+
     if k < 2:
         raise ValueError(f"edge palette must satisfy k >= 2, got {k}")
     return PowerBound(k, densest_subgraph(graph).value)

@@ -17,13 +17,11 @@ deeper than Python's recursion limit exits 3, as a guard would.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 
-from .bounds import genus_density_bounds, planar_bounds, universal_upper_bound
-from .coloring import exact_star_coloring, greedy_star_coloring, verify_star
-from .density import OrientationInfeasible, densest_subgraph, find_orientation, min_orientation
 from .graphs import (
     LIMITS,
     GraphFormatError,
@@ -38,7 +36,6 @@ from .graphs import (
     serialize_homomorphism,
     serialize_oriented,
 )
-from .out_coloring import build_out_coloring, serialize_certificate
 from .universal import (
     UniversalTarget,
     build_homomorphism,
@@ -47,6 +44,33 @@ from .universal import (
     min_universal_size,
     verify_homomorphism,
 )
+
+# stage module -> the names taken from it, bound on first use: compiling every
+# stage took check-universal and min-target longer than their searches
+_STAGES = {
+    "bounds": ("genus_density_bounds", "planar_bounds", "universal_upper_bound"),
+    "coloring": ("exact_star_coloring", "greedy_star_coloring", "verify_star"),
+    "density": ("OrientationInfeasible", "densest_subgraph", "find_orientation", "min_orientation"),
+    "out_coloring": ("build_out_coloring", "serialize_certificate"),
+}
+
+
+def _bind(*stages) -> None:
+    """Bind the names taken from each stage into this module, keeping a name
+    that is already bound, so that a patch made before first use still sees
+    every call."""
+    for stage in stages:
+        module = importlib.import_module(f".{stage}", __package__)
+        for name in _STAGES[stage]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    for stage, names in _STAGES.items():
+        if name in names:
+            _bind(stage)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _limits() -> Limits:
@@ -97,11 +121,13 @@ def _load_target(path: str, limits: Limits):
 
 
 def _cmd_density(args):
+    _bind("density")
     dens = densest_subgraph(_sized(parse_graph(_read(args.graph))))
     return 0, {"density": str(dens.value), "witness": list(dens.witness)}, None
 
 
 def _cmd_orient(args):
+    _bind("density")
     graph = _sized(parse_graph(_read(args.graph)))
     if args.d is None:
         d, oriented = min_orientation(graph)
@@ -124,6 +150,7 @@ def _cmd_orient(args):
 
 
 def _cmd_star_color(args):
+    _bind("coloring")
     graph = _sized(parse_graph(_read(args.graph)))
     if args.exact is not None:
         coloring = exact_star_coloring(graph, args.exact, _limits())
@@ -142,6 +169,7 @@ def _cmd_star_color(args):
 
 
 def _cmd_out_color(args):
+    _bind("coloring", "out_coloring")
     graph = _sized(parse_graph(_read(args.graph)))
     oriented = _sized(parse_oriented(_read(args.orientation)))
     if oriented.graph != graph:
@@ -176,6 +204,7 @@ def _cmd_build_target(args):
 
 
 def _cmd_map(args):
+    _bind("coloring", "density", "out_coloring")
     source = _sized(parse_edge_colored(_read(args.source)))
     if args.k is not None and args.k != source.k:
         raise ValueError(f"--k {args.k} does not match the file palette k={source.k}")
@@ -253,6 +282,7 @@ def _cmd_min_target(args):
 
 
 def _cmd_bounds(args):
+    _bind("bounds")
     if args.family == "planar":
         return 0, planar_bounds(args.k).to_dict(), None
     if args.family == "genus":

@@ -1,4 +1,4 @@
-"""Out-colorings of oriented graphs: verification and two constructions.
+"""Out-colorings of oriented graphs: two verified constructions.
 
 An out-coloring of an oriented graph satisfies three conditions:
 
@@ -8,7 +8,9 @@ An out-coloring of an oriented graph satisfies three conditions:
 
 where a parent is the tail of an incoming edge and a grandparent sits two
 steps back along incoming edges. Restricted to the underlying graph, every
-out-coloring is a star coloring (and hence acyclic).
+out-coloring is a star coloring (and hence acyclic). ``verify_out_coloring``
+checks C1-C3; it is defined in ``universal``, beside ``build_homomorphism``,
+which checks its out-coloring with it too, and is importable from here.
 
 ``build_out_coloring`` colors the C1-C3 conflicts directly in smallest-last
 order and emits that coloring when it fits the 2*d*s*s palette budget of the
@@ -24,9 +26,9 @@ from __future__ import annotations
 
 import json
 
-from .bounds import ceil_log
 from .coloring import verify_star
 from .graphs import LIMITS, EdgeColoredGraph, Limits, OrientedGraph, Value, VertexColoring, _check_ints, smallest_last_order
+from .universal import find_homomorphism, verify_out_coloring
 
 
 class TargetNotUniversal(Exception):
@@ -52,26 +54,6 @@ class OutColoringCertificate(Value):
     """
 
     _fields = ("coloring", "budget", "rule_counts")
-
-
-def verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> bool:
-    """Check conditions C1, C2 and C3 directly."""
-    if len(coloring) != oriented.graph.n:
-        return False
-    col = coloring.assign
-    for u, v in oriented.graph.edges:
-        if col[u] == col[v]:
-            return False
-    parents = oriented.parents
-    for v, ps in enumerate(parents):
-        c = col[v]
-        if len(ps) > 1 and len({col[p] for p in ps}) < len(ps):
-            return False
-        for p in ps:
-            for gp in parents[p]:
-                if col[gp] == c:
-                    return False
-    return True
 
 
 def _degeneracy_greedy(adjacency: list, max_colors: int) -> list:
@@ -194,7 +176,7 @@ def out_coloring_from_universal(
     Raises TargetNotUniversal when one of the derived colorings admits no
     homomorphism, with that coloring as a witness.
     """
-    from .universal import find_homomorphism
+    from .bounds import ceil_log  # on first use: only this construction needs it
 
     _check_ints(k=k)
     if k < 2:

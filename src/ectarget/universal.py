@@ -14,6 +14,9 @@ color rule applies to two sparse vertices, so homomorphism images and edge
 colors never walk all q coordinates. The explicit graph of a small target
 comes from the same _unrank and _color; no dense tuple is ever built.
 
+``build_homomorphism`` maps a source along an out-coloring of its
+orientation, which it checks first with ``verify_out_coloring``, kept here.
+
 The module also hosts the search oracles: fail-first backtracking homomorphism
 search, exhaustive universality checking over the k-edge-colorings of a
 graph, one per class under the graph's automorphisms, and exhaustive
@@ -36,7 +39,6 @@ from .graphs import (
     VertexColoring,
     _check_ints,
 )
-from .out_coloring import verify_out_coloring
 
 
 class UniversalTarget:
@@ -138,6 +140,26 @@ def _explicit(p: int, k: int, edges: dict) -> EdgeColoredGraph:
 def build_universal(q: int, d: int, k: int, limits: Limits = LIMITS) -> UniversalTarget:
     """Target with parameters (q, d, k); d is capped at q."""
     return UniversalTarget(q, d, k, limits)
+
+
+def verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> bool:
+    """Check the out-coloring conditions C1, C2 and C3 (see ``out_coloring``)."""
+    if len(coloring) != oriented.graph.n:
+        return False
+    col = coloring.assign
+    for u, v in oriented.graph.edges:
+        if col[u] == col[v]:
+            return False
+    parents = oriented.parents
+    for v, ps in enumerate(parents):
+        c = col[v]
+        if len(ps) > 1 and len({col[p] for p in ps}) < len(ps):
+            return False
+        for p in ps:
+            for gp in parents[p]:
+                if col[gp] == c:
+                    return False
+    return True
 
 
 def build_homomorphism(

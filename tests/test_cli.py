@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -591,15 +592,70 @@ def test_text_format_smoke(tmp_path, capsys):
     assert "density: 3/2" in out
 
 
-def test_cli_starts_without_the_introspection_modules():
+# command -> the stage modules that running it loads besides cli, graphs and universal
+COMMAND_STAGES = {
+    "verify {tri} {tri} {identity}": [],
+    "check-universal {tri} --graph {k2} --k 2": [],
+    "min-target {k2} --k 2 --max-p 3": [],
+    "build-target --q 2 --d 1 --k 2": [],
+    "bounds planar --k 2": ["bounds"],
+    "out-color {e3} --orientation {e3}": ["coloring", "out_coloring"],
+    "map {tri}": ["coloring", "density", "out_coloring"],
+}
+
+
+def test_cli_starts_without_the_introspection_modules(tmp_path):
     # -S keeps site's own imports out of the check
     src = str(Path(cli.__file__).resolve().parent.parent)
     heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "fractions", "decimal")
-    probe = f"import sys, ectarget.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    probe = (
+        f"import sys, ectarget.cli; print([m for m in {heavy!r} if m in sys.modules])\n"
+        "code = ectarget.cli.main(sys.argv[1:])\n"
+        "print(code, sorted(m.removeprefix('ectarget.') for m in sys.modules if m.startswith('ectarget.')))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    files = {"tri": TRIANGLE_ECG, "identity": "0 0\n1 1\n2 2\n", "k2": K2, "e3": "3 0 1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for command, stages in COMMAND_STAGES.items():
+        argv = command.format(**{name: tmp_path / name for name in files}).split()
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "[]", command
+        assert lines[-1] == f"0 {sorted(['cli', 'graphs', 'universal', *stages])}", command
+
+
+def test_a_patch_made_before_a_stage_loads_sees_every_call(tmp_path):
+    # the other tests patch cli after earlier tests have loaded every stage
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    (tmp_path / "tri").write_text(TRIANGLE_ECG)
+    probe = textwrap.dedent(
+        """
+        import contextlib, io, sys, pytest
+        from ectarget import cli
+        assert "ectarget.coloring" not in sys.modules
+        calls = []
+        def wrapper(*args, **kwargs):
+            from ectarget.coloring import greedy_star_coloring
+            calls.append(args)
+            return greedy_star_coloring(*args, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "greedy_star_coloring", wrapper)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["map", sys.argv[1]])
+        import ectarget.coloring
+        print(code, len(calls), cli.greedy_star_coloring is ectarget.coloring.greedy_star_coloring)
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "tri")], env=env, capture_output=True, text=True, timeout=60
+    )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout == "0 1 True\n"
 
 
 OUTPUT_COMMANDS = {
