@@ -98,12 +98,23 @@ def _sized(parsed):
     return parsed
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A header object, refused where it names a key twice, which json.loads
+    would resolve silently to the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"target header repeats key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _target_header(text: str):
     """(q, d, k) of a compact target header, or None for an explicit target."""
     if not text.lstrip().startswith("{"):
         return None
     try:
-        header = json.loads(text)
+        header = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("target header nests too deeply") from None
     for key in "qdk":

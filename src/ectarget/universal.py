@@ -11,7 +11,11 @@ in sparse form only: its lead and the at most d (position, value) pairs
 where it differs from k. One table of suffix counts, stored by
 budget, ranks that form in O(d) and unranks an id in O(d log q), and one
 color rule applies to two sparse vertices, so homomorphism images and edge
-colors never walk all q coordinates. The explicit graph of a small target
+colors never walk all q coordinates. A target starts with the count of
+every full-length word alone, from the closed form, and grows each column
+down, doubling its span, only to the shortest suffix a query reaches;
+count_table_bytes still bounds the table a query that reaches every column
+grows it to. The explicit graph of a small target
 comes from the same _unrank and _color; no dense tuple is ever built.
 
 ``build_homomorphism`` maps a source along an out-coloring of its
@@ -57,25 +61,48 @@ class UniversalTarget:
         self.d = min(d, q)  # at most q coordinates exist
         self.limits = limits
         # every count is at most (1 + q(k-1))^d; each entry also costs a
-        # reference and an object header, counted as 32 bytes
+        # reference and an object header, counted as 32 bytes. This bounds
+        # the table a target grows to when its queries reach every column.
         bits = self.d * (1 + q * (k - 1)).bit_length() + 1
         size = (q + 1) * (self.d + 1) * (32 + (bits + 7) // 8)
         limits.check("count_table_bytes", size, f"a count table of about {size} bytes")
-        # cols[b][L] = number of length-L words over 1..k with at most b
-        # letters other than k: the first letter is k or one of k - 1 others,
-        # so cols[b][L] = cols[b][L-1] + (k-1)·cols[b-1][L-1], increasing in L
-        cols = [[1] * (q + 1)]
-        for _ in range(self.d):
-            cols.append(list(itertools.accumulate(((k - 1) * c for c in itertools.islice(cols[-1], q)), initial=1)))
+        # cols[b][L - q + self._top] = number of length-L words over 1..k
+        # with at most b letters other than k, sum of C(L, t)(k-1)^t over
+        # t <= b. Only the top entry, L = q, is built here; _grow extends the
+        # columns down to the shortest suffix a query reaches.
+        term, count = 1, 0
+        cols = []
+        for t in range(self.d + 1):
+            count += term
+            cols.append([count])
+            term = term * (q - t) // (t + 1) * (k - 1)
         self._cols = cols
-        self.block = cols[self.d][q]
-        self.vertex_count = q * self.block
+        self._top = 0  # index of the length-q entry
+        self.block = count
+        self.vertex_count = q * count
 
     def __repr__(self):
         return f"UniversalTarget(q={self.q}, d={self.d}, k={self.k}, vertices={self.vertex_count})"
 
     def header(self) -> dict:
         return {"q": self.q, "d": self.d, "k": self.k}
+
+    def _grow(self, top: int):
+        """Extend every column down to suffix length q - top or further, at
+        least doubling the span built so each entry is computed once. The
+        first letter of a word is k or one of k - 1 others, so
+        cols[b][L-1] = cols[b][L] - (k-1)·cols[b-1][L-1]."""
+        old, km, cols = self._top, self.k - 1, self._cols
+        more = min(max(top, 2 * old + 1), self.q) - old
+        cols[0][:0] = [1] * more  # the all-k word alone
+        for below, col in zip(cols, cols[1:]):
+            ext = [0] * more
+            c = col[0]
+            for i in range(more - 1, -1, -1):
+                c -= km * below[i]
+                ext[i] = c
+            col[:0] = ext
+        self._top = old + more
 
     def _rank(self, lead: int, coords: list[tuple[int, int]]) -> int:
         """Id of the vertex with the given lead whose non-k coordinates are
@@ -85,11 +112,15 @@ class UniversalTarget:
         letter than k first are cols[b][L] - cols[b][L-1], so the words
         skipped by a run of k's telescope to one difference per run.
         """
+        top = self._top  # entry i is suffix length q - top + i
+        if coords and coords[-1][0] > top:
+            self._grow(coords[-1][0])
+            top = self._top
         cols = self._cols
         acc = (lead - 1) * self.block
-        b, rest = self.d, self.q  # budget left, and coordinates from here on
+        b, rest = self.d, top  # budget left, and the entry for the coordinates from here on
         for p, x in coords:
-            after = self.q - p
+            after = top - p
             acc += cols[b][rest] - cols[b][after + 1] + (x - 1) * cols[b - 1][after]
             b, rest = b - 1, after
         return acc + cols[b][rest] - 1  # k's to the end: the last word
@@ -101,19 +132,24 @@ class UniversalTarget:
             raise ValueError(f"vertex id {idx} outside 0..{self.vertex_count - 1}")
         lead, rem = divmod(idx, self.block)
         coords = {}
-        b, rest = self.d, self.q
+        cols, top = self._cols, self._top  # entry i is suffix length q - top + i
+        b, rest = self.d, top
         while b:
-            col = self._cols[b]
             # back counts the words from here on that do not come before this
             # one: it lies in (col[L-1], col[L]] when the next non-k letter is
             # L coordinates from the end, and is 1 when none is left
+            col = cols[b]
             back = col[rest] - rem
-            length = bisect_left(col, back, 0, rest + 1)
-            if length == 0:
+            if back == 1:
                 break
-            x, rem = divmod(col[length] - back, self._cols[b - 1][length - 1])
-            coords[self.q + 1 - length] = x + 1
-            b, rest = b - 1, length - 1
+            i = bisect_left(col, back, 0, rest + 1)
+            while not i and top < self.q:  # col[L-1] < back is not yet in view
+                self._grow(top + 1)
+                shift, top = self._top - top, self._top
+                i = bisect_left(col, back, 0, shift)  # col[shift] >= back already
+            x, rem = divmod(col[i] - back, cols[b - 1][i - 1])
+            coords[top + 1 - i] = x + 1
+            b, rest = b - 1, i - 1
         return lead + 1, coords
 
     def _color(self, a: tuple[int, dict], b: tuple[int, dict]) -> int:

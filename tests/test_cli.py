@@ -265,6 +265,31 @@ def test_deeply_nested_target_header_exits_two(tmp_path, capsys, command):
     assert "target header nests too deeply" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [('{"q": 3, "d": 1, "k": 2, "q": 4}', "q"), ('{"q": 3, "d": 1, "k": 2, "note": {"a": 1, "a": 2}}', "a")],
+)
+@pytest.mark.parametrize("command", ["verify", "map", "check-universal"])
+def test_target_header_with_a_repeated_key_exits_two(tmp_path, capsys, command, text, key):
+    src = tmp_path / "tri.ecg"
+    src.write_text(TRIANGLE_ECG)
+    hom_file = tmp_path / "tri.hom"
+    hom_file.write_text("0 0\n1 1\n2 2\n")
+    graph_file = tmp_path / "k2.g"
+    graph_file.write_text(K2)
+    target_file = tmp_path / "target.json"
+    target_file.write_text(text)
+    argv = {
+        "verify": ["verify", str(src), str(target_file), str(hom_file)],
+        "map": ["map", str(src), "--target", str(target_file)],
+        "check-universal": ["check-universal", str(target_file), "--graph", str(graph_file), "--k", "2"],
+    }[command]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"target header repeats key '{key}'" in captured.err
+
+
 def test_verify_with_another_palette_exits_two(tmp_path, capsys):
     src = tmp_path / "tri.ecg"
     src.write_text("3 3 3\n0 1 1\n0 2 1\n1 2 3\n")

@@ -190,6 +190,107 @@ def test_rank_unrank_match_the_dense_walk(q, d, k):
             assert dense.unrank(idx) == vertex
 
 
+# d >= q, q = 1, k = 2 and the planar class target
+GROWTH_SHAPES = [(4, 6, 2), (1, 1, 3), (9, 3, 2), (15000, 3, 3)]
+
+
+def growth_orders(dense: DenseTupleOrder) -> dict:
+    """Query sequences that make a fresh target grow its count columns in
+    different ways: each opens with a different kind of vertex and then
+    visits the same sample of ids."""
+    q, k = dense.q, dense.k
+    n = q * dense.block
+    rng = random.Random(q)
+    sample = list(range(n)) if n <= 200 else sorted({rng.randrange(n) for _ in range(40)})
+    shuffled = rng.sample(sample, len(sample))
+    all_k = dense.rank((q,) + (k,) * q)  # needs no column below length q
+    deepest = dense.rank((1,) + (k,) * (q - 1) + (1,))  # needs every length
+    return {
+        "all-k first": [all_k, *sample],
+        "position q first": [deepest, *sample],
+        "ends first": [0, n - 1, *sample],
+        "ascending": sample,
+        "shuffled": shuffled,
+    }
+
+
+@pytest.mark.parametrize("order", ["all-k first", "position q first", "ends first", "ascending", "shuffled"])
+@pytest.mark.parametrize("q, d, k", GROWTH_SHAPES)
+def test_count_columns_grow_right_in_any_query_order(q, d, k, order):
+    dense = DenseTupleOrder(q, d, k)
+    # one fresh target grown by unranks alone, one by ranks alone
+    by_unrank, by_rank = build_universal(q, d, k), build_universal(q, d, k)
+    for idx in growth_orders(dense)[order]:
+        vertex = dense_unrank(by_unrank, idx)
+        # the dense rank is a bijection, so agreeing with it pins unrank too
+        assert dense.rank(vertex) == idx
+        assert dense_rank(by_rank, vertex) == idx
+        if q < 100:
+            assert dense.unrank(idx) == vertex
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_count_columns_answer_any_query_sequence(data):
+    q, k = data.draw(st.integers(1, 12)), data.draw(st.integers(2, 3))
+    d = data.draw(st.integers(0, q + 2))
+    dense, target = DenseTupleOrder(q, d, k), build_universal(q, d, k)
+    queries = st.tuples(st.booleans(), st.integers(0, target.vertex_count - 1))
+    for by_rank, idx in data.draw(st.lists(queries, min_size=1, max_size=20)):
+        vertex = dense.unrank(idx)
+        if by_rank:
+            assert dense_rank(target, vertex) == idx
+        else:
+            assert dense_unrank(target, idx) == vertex
+
+
+def test_count_columns_grow_in_doubling_steps():
+    """Ids that reach one suffix length more each: columns grown by exactly
+    the length asked for would copy the whole column on each query, about
+    ten seconds here instead of a few tenths."""
+    q = 150_000
+    warm = build_universal(q, 1, 2)
+    ids = [warm._rank(1, [(p, 1)]) for p in range(q, 0, -1)][::-1]
+    by_rank, by_unrank = build_universal(q, 1, 2), build_universal(q, 1, 2)
+    start = time.perf_counter()
+    for p in range(1, q + 1):
+        by_rank._rank(1, [(p, 1)])
+    for idx in ids:
+        by_unrank._unrank(idx)
+    assert time.perf_counter() - start < 3
+
+
+def test_a_class_target_map_and_verify_build_few_counts():
+    """The planar class target (15000, 3, 3): a map's images reach only the
+    first positions, up to its out palette, so its ranks and unranks grow
+    each column by a few dozen lengths, not to all 15,001."""
+    source = random_coloring(stacked_triangulation(20, seed=1), 3, random.Random(1))
+    oriented = find_orientation(source.graph, 3)
+    coloring = build_out_coloring(oriented, greedy_star_coloring(source.graph)).coloring
+    tracemalloc.start()
+    try:
+        target = build_universal(15000, 3, 3)
+        verified = verify_homomorphism(source, target, build_homomorphism(source, oriented, coloring, target))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verified
+    assert peak < 64 << 10, f"{peak} bytes"
+
+
+def test_a_large_target_builds_no_count_column():
+    """(150000, 3, 3) passes count_table_bytes, as the table a query reaching
+    every column would grow; making the target builds the top counts alone."""
+    tracemalloc.start()
+    try:
+        target = build_universal(150_000, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.vertex_count == closed_form(150_000, 3, 3)
+    assert peak < 16 << 10, f"{peak} bytes"
+
+
 def test_package_exports_are_sorted_unique_and_resolve():
     names = ectarget.__all__
     assert names == sorted(set(names))
