@@ -12,11 +12,19 @@ variable ECTARGET_GUARD_OVERRIDE raises each of the eight size limits of
 ``Limits`` that is below the given integer to it (searches can then be very
 slow); only the commands that hit a limit read it. A search it lets run
 deeper than Python's recursion limit exits 3, as a guard would.
+
+``main`` returns its exit code and never ends the interpreter. ``app``, the
+``ectarget`` console script and the ``python -m ectarget.cli`` path, runs
+``main``, then the ``atexit`` handlers, flushes stdout and stderr and ends the
+process with ``os._exit``, skipping interpreter finalization, which only frees
+what the OS reclaims anyway. Where a flush fails (a closed pipe) it exits
+through ``sys.exit`` as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import importlib
 import json
 import os
@@ -430,7 +438,15 @@ def main(argv=None) -> int:
 
 
 def app() -> None:
-    sys.exit(main())
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

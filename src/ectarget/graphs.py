@@ -394,6 +394,10 @@ def _parse_body(text: str, want_flag: bool = False):
     if len(lines) - 1 != m:
         raise GraphFormatError(f"header promises {m} edge lines, found {len(lines) - 1}")
     fields = 4 if want_flag else 3
+    # one shared int per vertex id, so an id that recurs is not a new object at
+    # each line; a range, which costs nothing, where the header promises more
+    # vertices than the edges can name
+    ids = range(n) if n > 2 * m else list(range(n))
     edges = {}
     for line in lines[1:]:
         parts = line.split()
@@ -409,6 +413,7 @@ def _parse_body(text: str, want_flag: bool = False):
             raise GraphFormatError(f"loop edge {u} {v}")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"edge {u} {v} has an endpoint outside 0..{n - 1}")
+        u, v = ids[u], ids[v]
         e = (u, v) if u < v else (v, u)
         if e in edges:
             raise GraphFormatError(f"duplicate edge {e[0]} {e[1]}")

@@ -791,3 +791,96 @@ def test_a_negative_answer_writes_no_output_file(golden_inputs, tmp_path, capsys
     assert code == 1
     assert payload[key] is False
     assert not out_file.exists()
+
+
+def entry_point_env(**extra) -> dict:
+    """The environment of an ``ectarget`` subprocess: this checkout's package,
+    block-buffered stdout, and an 80-column help whatever the terminal."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, **extra}
+
+
+# case -> (arguments with {} for the input directory, the exit code)
+ENTRY_POINT_CASES = {
+    "map-output": (["map", "{}/large.g", "--target", "{}/large.json", "--output", "{}/out"], 0),
+    "map-target-low-q": (["map", "{}/src.g", "--target", "{}/low_q.json", "--output", "{}/out"], 1),
+    "malformed-graph": (["density", "{}/malformed.g"], 2),
+    "billion-vertex-header": (["density", "{}/huge.g"], 3),
+    "help": (["--help"], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_POINT_CASES))
+def test_the_entry_point_prints_what_main_prints(golden_inputs, tmp_path, capsys, monkeypatch, case):
+    # through pipes stdout is block-buffered, so a report the exit path does
+    # not flush is lost
+    for name in golden_inputs.iterdir():
+        (tmp_path / name.name).write_bytes(name.read_bytes())
+    (tmp_path / "malformed.g").write_text("3 2 1\n0 1 1\n1 2\n")
+    (tmp_path / "huge.g").write_text("1000000000 0 1\n")
+    assert (tmp_path / "huge.g").stat().st_size == 15
+    arguments, code = ENTRY_POINT_CASES[case]
+    argv = [arg.replace("{}", str(tmp_path)) for arg in arguments]
+    out_file = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "ectarget.cli", *argv], env=entry_point_env(), capture_output=True, timeout=60
+    )
+    written = out_file.read_bytes() if out_file.exists() else None
+    out_file.unlink(missing_ok=True)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert done.returncode == code
+    assert done.stdout == captured.out.encode()
+    assert done.stderr == captured.err.encode()
+    assert written == (out_file.read_bytes() if out_file.exists() else None)
+    assert (written is not None) == (case == "map-output")
+    assert done.stdout or done.stderr
+
+
+def test_atexit_handlers_run_before_the_entry_point_exits(tmp_path):
+    (tmp_path / "k4.g").write_text(K4)
+    probe = (
+        "import atexit, sys\n"
+        "from ectarget import cli\n"
+        "atexit.register(print, 'handler ran')\n"
+        "cli.app()\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, "orient", str(tmp_path / "k4.g"), "--d", "1"],
+        env=entry_point_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1  # main's code: K4 has no orientation with in-degree 1
+    assert done.stderr == ""
+    assert json.loads(done.stdout.removesuffix("handler ran\n"))["feasible"] is False
+    assert done.stdout.endswith("}\nhandler ran\n")
+
+
+# how the entry point's stdout is broken -> the shell redirection that does it
+BROKEN_STDOUT = {"closed-pipe": "", "closed-descriptor": ">&-"}
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("how", sorted(BROKEN_STDOUT))
+@pytest.mark.parametrize("argv", [["bounds", "planar", "--k", "2"], ["--help"], ["bounds"]], ids=" ".join)
+def test_a_broken_stdout_exits_as_a_normal_exit_does(how, buffered, argv):
+    # where the final flush fails, the entry point falls back to sys.exit
+    env = entry_point_env(**({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+    results = []
+    for ending in ("cli.app()", "sys.exit(cli.main())"):
+        command = [sys.executable, "-c", f"import sys\nfrom ectarget import cli\n{ending}\n", *argv]
+        command = ["sh", "-c", f'exec "$@" {BROKEN_STDOUT[how]}', "sh", *command]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(command, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        results.append((done.returncode, done.stderr))
+    assert results[0] == results[1]
+    assert "Traceback" not in results[0][1].decode()

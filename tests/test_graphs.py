@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -27,7 +28,7 @@ from ectarget.graphs import (
     serialize_oriented,
 )
 from ectarget.universal import build_universal
-from helpers import arc_map, clique, cycle, grid, random_graph, transpose
+from helpers import arc_map, clique, cycle, grid, random_coloring, random_graph, stacked_triangulation, transpose
 
 
 TRIANGLE_TEXT = "3 3 2\n0 1 1\n1 2 2\n0 2 1"
@@ -320,6 +321,35 @@ def test_serialize_after_parse_writes_the_canonical_file(case):
         canonical = write(record)
         assert write(parse(text)) == canonical
         assert write(parse(canonical)) == canonical
+
+
+def test_parsed_edges_share_one_object_per_vertex_id():
+    # ints above 256 are not cached, so reading each endpoint's digits alone
+    # would make one object per occurrence
+    graph = stacked_triangulation(600, seed=1)
+    oriented = OrientedGraph(graph, {(u, v): (v, u) for u, v in graph.edges})
+    texts = {
+        parse_edge_colored: serialize(random_coloring(graph, 3, random.Random(1))),
+        parse_graph: serialize_graph(graph),
+        parse_oriented: serialize_oriented(oriented),
+    }
+    for parse, text in texts.items():
+        parsed = parse(text)
+        ids = [v for e in getattr(parsed, "graph", parsed).edges for v in e] + list(getattr(parsed, "heads", ()))
+        large = [v for v in ids if v >= 257]
+        assert len(set(large)) > 300
+        assert len({id(v) for v in large}) == len(set(large)), parse.__name__
+
+
+def test_a_header_with_far_more_vertices_than_edges_allocates_nothing_per_vertex():
+    tracemalloc.start()
+    try:
+        graph = parse_graph("1000000 1 1\n0 999999 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.edges == ((0, 999999),)
+    assert peak < 64 * 1024
 
 
 @given(graphs())

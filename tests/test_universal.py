@@ -358,8 +358,10 @@ def test_build_homomorphism_full_triangle_pipeline():
 def test_map_pipeline_keeps_a_few_hundred_bytes_per_edge():
     """map's stages in process, traced from the file text to the verified
     homomorphism. Per-edge colors and heads are tuples aligned with the
-    edges and each conflict set is a tuple, so the peak stays near 335
-    bytes per edge here; edge-keyed dicts and conflict sets took about 770."""
+    edges, each conflict set is a tuple and the parsed edges share one int
+    per vertex id, so the peak stays near 300 bytes per edge here; an int
+    per endpoint occurrence took about 335, and edge-keyed dicts and
+    conflict sets about 770."""
     text = serialize(random_coloring(stacked_triangulation(5000, seed=1), 3, random.Random(1)))
     tracemalloc.start()
     try:
@@ -374,7 +376,7 @@ def test_map_pipeline_keeps_a_few_hundred_bytes_per_edge():
         tracemalloc.stop()
     assert verified
     m = source.graph.m
-    assert peak <= 450 * m, f"{peak / m:.0f} bytes per edge"
+    assert peak <= 320 * m, f"{peak / m:.0f} bytes per edge"
 
 
 def test_build_homomorphism_named_precondition_errors():
