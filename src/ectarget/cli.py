@@ -13,12 +13,13 @@ variable ECTARGET_GUARD_OVERRIDE raises each of the eight size limits of
 slow); only the commands that hit a limit read it. A search it lets run
 deeper than Python's recursion limit exits 3, as a guard would.
 
-``main`` returns its exit code and never ends the interpreter. ``app``, the
-``ectarget`` console script and the ``python -m ectarget.cli`` path, runs
-``main``, then the ``atexit`` handlers, flushes stdout and stderr and ends the
-process with ``os._exit``, skipping interpreter finalization, which only frees
-what the OS reclaims anyway. Where a flush fails (a closed pipe) it exits
-through ``sys.exit`` as before.
+``main`` flushes the report itself, so a closed stdout exits 2 with its
+message whether stdout is buffered or not; it returns its exit code and
+never ends the interpreter. ``app``, the ``ectarget`` console script and the
+``python -m ectarget.cli`` path, runs ``main``, then the ``atexit`` handlers,
+flushes stdout and stderr, ignoring a closed one, and ends the process with
+``os._exit(code)``, skipping interpreter finalization, which only frees what
+the OS reclaims anyway.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import json
 import os
 import sys
 
+from . import _EXPORTS, _HOME
 from .graphs import (
     LIMITS,
     GraphFormatError,
@@ -45,7 +47,6 @@ from .graphs import (
     serialize_oriented,
 )
 from .universal import (
-    UniversalTarget,
     build_homomorphism,
     build_universal,
     check_universal,
@@ -53,32 +54,23 @@ from .universal import (
     verify_homomorphism,
 )
 
-# stage module -> the names taken from it, bound on first use: compiling every
-# stage took check-universal and min-target longer than their searches
-_STAGES = {
-    "bounds": ("genus_density_bounds", "planar_bounds", "universal_upper_bound"),
-    "coloring": ("exact_star_coloring", "greedy_star_coloring", "verify_star"),
-    "density": ("OrientationInfeasible", "densest_subgraph", "find_orientation", "min_orientation"),
-    "out_coloring": ("build_out_coloring", "serialize_certificate"),
-}
-
 
 def _bind(*stages) -> None:
-    """Bind the names taken from each stage into this module, keeping a name
-    that is already bound, so that a patch made before first use still sees
-    every call."""
+    """Bind the public names of each stage module into this module, keeping
+    a name that is already bound, so that a patch made before first use
+    still sees every call. Stages load on first use: compiling every stage
+    took check-universal and min-target longer than their searches."""
     for stage in stages:
         module = importlib.import_module(f".{stage}", __package__)
-        for name in _STAGES[stage]:
+        for name in _EXPORTS[stage]:
             globals().setdefault(name, getattr(module, name))
 
 
 def __getattr__(name: str):
-    for stage, names in _STAGES.items():
-        if name in names:
-            _bind(stage)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_HOME[name])
+    return globals()[name]
 
 
 def _limits() -> Limits:
@@ -425,6 +417,8 @@ def main(argv=None) -> int:
                         print(f"  {item}")
                 else:
                     print(f"{key}: {value}")
+        if sys.stdout is not None:  # a closed pipe fails here, buffered or not
+            sys.stdout.flush()
         return code
     except (GuardExceeded, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -440,12 +434,12 @@ def main(argv=None) -> int:
 def app() -> None:
     code = main()
     atexit._run_exitfuncs()
-    try:
-        for stream in (sys.stdout, sys.stderr):
+    for stream in (sys.stdout, sys.stderr):
+        try:
             if stream is not None:
                 stream.flush()
-    except OSError:
-        sys.exit(code)
+        except OSError:
+            pass  # a closed pipe: main has chosen the code already
     os._exit(code)
 
 

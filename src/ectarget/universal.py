@@ -8,15 +8,16 @@ leading coordinate selects one coordinate of the other.
 
 Vertex ids follow the lexicographic order of the tuples. A vertex is kept
 in sparse form only: its lead and the at most d (position, value) pairs
-where it differs from k. One table of suffix counts, stored by
-budget, ranks that form in O(d) and unranks an id in O(d log q), and one
-color rule applies to two sparse vertices, so homomorphism images and edge
-colors never walk all q coordinates. A target starts with the count of
-every full-length word alone, from the closed form, and grows each column
-down, doubling its span, only to the shortest suffix a query reaches;
-count_table_bytes still bounds the table a query that reaches every column
-grows it to. The explicit graph of a small target
-comes from the same _unrank and _color; no dense tuple is ever built.
+where it differs from k. One table of suffix counts, a column per
+budget indexed by the position the suffix follows, ranks that form in O(d)
+and unranks an id in O(d log q), and one color rule applies to two sparse
+vertices, so homomorphism images and edge colors never walk all q
+coordinates. A target starts with the count of every full-length word
+alone, from the closed form, and appends to each column, at least doubling
+its length, only up to the last position a query reaches;
+count_table_bytes still bounds the table a query that reaches every
+position grows it to. The explicit graph of a small target comes from the
+same _unrank and _color; no dense tuple is ever built.
 
 ``build_homomorphism`` maps a source along an out-coloring of its
 orientation, which it checks first with ``verify_out_coloring``, kept here.
@@ -31,7 +32,8 @@ least candidate of each symmetry class.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_right
+from operator import neg
 
 from .graphs import (
     LIMITS,
@@ -62,14 +64,13 @@ class UniversalTarget:
         self.limits = limits
         # every count is at most (1 + q(k-1))^d; each entry also costs a
         # reference and an object header, counted as 32 bytes. This bounds
-        # the table a target grows to when its queries reach every column.
+        # the table a target grows to when its queries reach every position.
         bits = self.d * (1 + q * (k - 1)).bit_length() + 1
         size = (q + 1) * (self.d + 1) * (32 + (bits + 7) // 8)
         limits.check("count_table_bytes", size, f"a count table of about {size} bytes")
-        # cols[b][L - q + self._top] = number of length-L words over 1..k
-        # with at most b letters other than k, sum of C(L, t)(k-1)^t over
-        # t <= b. Only the top entry, L = q, is built here; _grow extends the
-        # columns down to the shortest suffix a query reaches.
+        # cols[b][p] = number of words of length q - p over 1..k with at most
+        # b letters other than k, sum of C(q - p, t)(k-1)^t over t <= b. Only
+        # p = 0 is built here; _grow appends the positions a query reaches.
         term, count = 1, 0
         cols = []
         for t in range(self.d + 1):
@@ -77,7 +78,6 @@ class UniversalTarget:
             cols.append([count])
             term = term * (q - t) // (t + 1) * (k - 1)
         self._cols = cols
-        self._top = 0  # index of the length-q entry
         self.block = count
         self.vertex_count = q * count
 
@@ -87,69 +87,62 @@ class UniversalTarget:
     def header(self) -> dict:
         return {"q": self.q, "d": self.d, "k": self.k}
 
-    def _grow(self, top: int):
-        """Extend every column down to suffix length q - top or further, at
-        least doubling the span built so each entry is computed once. The
-        first letter of a word is k or one of k - 1 others, so
-        cols[b][L-1] = cols[b][L] - (k-1)·cols[b-1][L-1]."""
-        old, km, cols = self._top, self.k - 1, self._cols
-        more = min(max(top, 2 * old + 1), self.q) - old
-        cols[0][:0] = [1] * more  # the all-k word alone
+    def _grow(self, p: int):
+        """Append to every column up to position p or further, at least
+        doubling its length, so each entry is computed once. The first letter
+        of a word is k or one of k - 1 others, so
+        cols[b][p] = cols[b][p-1] - (k-1)·cols[b-1][p]."""
+        km, cols = self.k - 1, self._cols
+        end = min(max(p + 1, 2 * len(cols[0])), self.q + 1)
+        cols[0].extend([1] * (end - len(cols[0])))  # the all-k word alone
         for below, col in zip(cols, cols[1:]):
-            ext = [0] * more
-            c = col[0]
-            for i in range(more - 1, -1, -1):
+            c = col[-1]
+            for i in range(len(col), end):
                 c -= km * below[i]
-                ext[i] = c
-            col[:0] = ext
-        self._top = old + more
+                col.append(c)
 
     def _rank(self, lead: int, coords: list[tuple[int, int]]) -> int:
         """Id of the vertex with the given lead whose non-k coordinates are
         the (position, value) pairs coords, in increasing position order.
 
-        Below a budget b, the (k-1)·cols[b-1][L-1] words that put a smaller
-        letter than k first are cols[b][L] - cols[b][L-1], so the words
-        skipped by a run of k's telescope to one difference per run.
+        Below a budget b, the (k-1)·cols[b-1][p] words that put a smaller
+        letter than k at position p are cols[b][p-1] - cols[b][p], so the
+        words skipped by a run of k's telescope to one difference per run.
         """
-        top = self._top  # entry i is suffix length q - top + i
-        if coords and coords[-1][0] > top:
+        if coords and coords[-1][0] >= len(self._cols[0]):
             self._grow(coords[-1][0])
-            top = self._top
         cols = self._cols
         acc = (lead - 1) * self.block
-        b, rest = self.d, top  # budget left, and the entry for the coordinates from here on
+        b, rest = self.d, 0  # budget left, and the positions already placed
         for p, x in coords:
-            after = top - p
-            acc += cols[b][rest] - cols[b][after + 1] + (x - 1) * cols[b - 1][after]
-            b, rest = b - 1, after
+            acc += cols[b][rest] - cols[b][p - 1] + (x - 1) * cols[b - 1][p]
+            b, rest = b - 1, p
         return acc + cols[b][rest] - 1  # k's to the end: the last word
 
     def _unrank(self, idx: int) -> tuple[int, dict]:
         """(lead, {position: value}) of the vertex with the given id, the
-        non-k coordinates in increasing position order."""
+        non-k coordinates in increasing position order, each found by one
+        bisection of its budget's column, which falls as the position grows."""
         if not (0 <= idx < self.vertex_count):
             raise ValueError(f"vertex id {idx} outside 0..{self.vertex_count - 1}")
         lead, rem = divmod(idx, self.block)
         coords = {}
-        cols, top = self._cols, self._top  # entry i is suffix length q - top + i
-        b, rest = self.d, top
+        cols = self._cols
+        b, rest = self.d, 0
         while b:
-            # back counts the words from here on that do not come before this
-            # one: it lies in (col[L-1], col[L]] when the next non-k letter is
-            # L coordinates from the end, and is 1 when none is left
+            # back counts the words after position rest that do not come
+            # before this one: it lies in (col[p], col[p-1]] when the next
+            # non-k letter is at position p, and is 1 when none is left
             col = cols[b]
             back = col[rest] - rem
             if back == 1:
                 break
-            i = bisect_left(col, back, 0, rest + 1)
-            while not i and top < self.q:  # col[L-1] < back is not yet in view
-                self._grow(top + 1)
-                shift, top = self._top - top, self._top
-                i = bisect_left(col, back, 0, shift)  # col[shift] >= back already
-            x, rem = divmod(col[i] - back, cols[b - 1][i - 1])
-            coords[top + 1 - i] = x + 1
-            b, rest = b - 1, i - 1
+            while col[-1] >= back:  # ends by p = q, where col[q] = 1
+                self._grow(len(col))
+            p = bisect_right(col, -back, rest, key=neg)
+            x, rem = divmod(col[p - 1] - back, cols[b - 1][p])
+            coords[p] = x + 1
+            b, rest = b - 1, p
         return lead + 1, coords
 
     def _color(self, a: tuple[int, dict], b: tuple[int, dict]) -> int:

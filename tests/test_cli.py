@@ -413,6 +413,51 @@ def test_bounds_too_large_exit_two(capsys):
     assert "more than 4300 digits" in capsys.readouterr().err
 
 
+# case -> (arguments with {} for the input directory, the files it writes, the message)
+INPUT_REFUSALS = {
+    "out-color-another-graph": (
+        ["out-color", "{}/e3.g", "--orientation", "{}/other.or"],
+        {"e3.g": "3 1 1\n0 1 1\n", "other.or": "3 1 1\n1 2 1 >\n"},
+        "orientation file does not match the graph file",
+    ),
+    "map-explicit-target": (
+        ["map", "{}/tri.ecg", "--target", "{}/tri.ecg"],
+        {"tri.ecg": TRIANGLE_ECG},
+        "map needs a compact target header file (JSON with q, d, k)",
+    ),
+    "oriented-k2": (
+        ["out-color", "{}/e3.g", "--orientation", "{}/k2.or"],
+        {"e3.g": "3 1 1\n0 1 1\n", "k2.or": "3 1 2\n0 1 1 >\n"},
+        "oriented graph files use k = 1, got k=2",
+    ),
+    "palette-zero": (["density", "{}/p0.g"], {"p0.g": "3 0 0\n"}, "palette must be at least 1, got 0"),
+    "homomorphism-non-integer": (
+        ["verify", "{}/tri.ecg", "{}/tri.ecg", "{}/x.hom"],
+        {"tri.ecg": TRIANGLE_ECG, "x.hom": "0 0\n1 x\n2 2\n"},
+        "malformed homomorphism line '1 x'",
+    ),
+    "homomorphism-twice": (
+        ["verify", "{}/tri.ecg", "{}/tri.ecg", "{}/twice.hom"],
+        {"tri.ecg": TRIANGLE_ECG, "twice.hom": "0 0\n0 1\n2 2\n"},
+        "vertex 0 mapped twice",
+    ),
+    "verify-image-outside-explicit-target": (
+        ["verify", "{}/tri.ecg", "{}/tri.ecg", "{}/far.hom"],
+        {"tri.ecg": TRIANGLE_ECG, "far.hom": "0 0\n1 1\n2 3\n"},
+        "image 3 is not a target vertex id",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_REFUSALS))
+def test_an_input_refusal_exits_two_with_its_message(tmp_path, capsys, case):
+    arguments, files, message = INPUT_REFUSALS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert cli.main([arg.replace("{}", str(tmp_path)) for arg in arguments]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["density", str(tmp_path / "missing.g")]) == 2
@@ -863,24 +908,33 @@ def test_atexit_handlers_run_before_the_entry_point_exits(tmp_path):
 
 # how the entry point's stdout is broken -> the shell redirection that does it
 BROKEN_STDOUT = {"closed-pipe": "", "closed-descriptor": ">&-"}
+MISSING_FAMILY = "ectarget bounds: error: the following arguments are required: family"
+# (how, arguments) -> (exit code, last stderr line), buffered or not
+BROKEN_STDOUT_ENDINGS = {
+    ("closed-pipe", "bounds planar --k 2"): (2, "error: [Errno 32] Broken pipe"),
+    ("closed-pipe", "--help"): (0, ""),  # argparse ignores a failed help write
+    ("closed-pipe", "bounds"): (2, MISSING_FAMILY),
+    ("closed-descriptor", "bounds planar --k 2"): (0, ""),  # print to no stdout writes nothing
+    ("closed-descriptor", "--help"): (0, "  -h, --help            show this help message and exit"),
+    ("closed-descriptor", "bounds"): (2, MISSING_FAMILY),
+}
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("how", sorted(BROKEN_STDOUT))
 @pytest.mark.parametrize("argv", [["bounds", "planar", "--k", "2"], ["--help"], ["bounds"]], ids=" ".join)
 def test_a_broken_stdout_exits_as_a_normal_exit_does(how, buffered, argv):
-    # where the final flush fails, the entry point falls back to sys.exit
+    # main flushes the report itself, so a closed pipe is one documented
+    # code and message whether stdout is block-buffered or not
     env = entry_point_env(**({} if buffered else {"PYTHONUNBUFFERED": "1"}))
-    results = []
-    for ending in ("cli.app()", "sys.exit(cli.main())"):
-        command = [sys.executable, "-c", f"import sys\nfrom ectarget import cli\n{ending}\n", *argv]
-        command = ["sh", "-c", f'exec "$@" {BROKEN_STDOUT[how]}', "sh", *command]
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            done = subprocess.run(command, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
-        finally:
-            os.close(write_end)
-        results.append((done.returncode, done.stderr))
-    assert results[0] == results[1]
-    assert "Traceback" not in results[0][1].decode()
+    command = [sys.executable, "-c", "from ectarget import cli\ncli.app()\n", *argv]
+    command = ["sh", "-c", f'exec "$@" {BROKEN_STDOUT[how]}', "sh", *command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(command, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    stderr = done.stderr.decode()
+    assert "Traceback" not in stderr
+    assert (done.returncode, (stderr.splitlines() or [""])[-1]) == BROKEN_STDOUT_ENDINGS[how, " ".join(argv)]

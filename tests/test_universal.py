@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import ectarget
 from conftest import edge_colored_graphs, graphs
+from ectarget.bounds import universal_lower_bound
 from ectarget.coloring import greedy_star_coloring
-from ectarget.density import find_orientation, min_orientation
+from ectarget.density import find_orientation, min_orientation, orientation_from_acyclic
 from ectarget.graphs import (
     AUTOMORPHISM_NODES,
     EdgeColoredGraph,
@@ -35,6 +36,7 @@ from ectarget.universal import (
     find_homomorphism,
     min_universal_size,
     verify_homomorphism,
+    verify_out_coloring,
 )
 from helpers import (
     DenseTupleOrder,
@@ -127,6 +129,44 @@ def test_min_universal_size_rejects_non_integer_arguments():
         min_universal_size([path(3)], 2, 2.0)
     with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.0$"):
         min_universal_size([path(3)], 2.0, 2)
+
+
+ONE_EDGE = Graph(2, [(0, 1)])
+ONE_ARC = OrientedGraph(ONE_EDGE, {(0, 1): (0, 1)})
+SHORT = VertexColoring(2, [1])
+# case -> (a library call, the ValueError message it raises)
+LIBRARY_REFUSALS = {
+    "min-target-p-max-0": (lambda: min_universal_size([path(3)], 2, 0), "p_max must be at least 1, got 0"),
+    "min-target-no-graphs": (lambda: min_universal_size([], 2, 2), "need at least one graph to search against"),
+    "homomorphism-short-coloring": (
+        lambda: build_homomorphism(EdgeColoredGraph(ONE_EDGE, 2, {(0, 1): 1}), ONE_ARC, SHORT, build_universal(2, 1, 2)),
+        "out-coloring must assign a color to every vertex",
+    ),
+    "acyclic-short-coloring": (
+        lambda: orientation_from_acyclic(ONE_EDGE, SHORT),
+        "coloring must assign a color to every vertex",
+    ),
+    "from-universal-k1": (
+        lambda: out_coloring_from_universal(ONE_ARC, build_universal(2, 1, 2).to_edge_colored_graph(), 1),
+        "edge palette must satisfy k >= 2, got 1",
+    ),
+    "lower-bound-k1": (lambda: universal_lower_bound(ONE_EDGE, 1), "edge palette must satisfy k >= 2, got 1"),
+    "arc-map-names-an-edge-twice": (
+        lambda: OrientedGraph(ONE_EDGE, {(0, 1): (0, 1), (1, 0): (1, 0)}),
+        "edge 0 1 oriented twice",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
+def test_a_library_call_refuses_its_input_with_its_message(case):
+    call, message = LIBRARY_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_verify_out_coloring_refuses_a_short_coloring():
+    assert verify_out_coloring(ONE_ARC, SHORT) is False
 
 
 def test_vertex_count_closed_form_without_materializing():
@@ -244,10 +284,10 @@ def test_count_columns_answer_any_query_sequence(data):
             assert dense_unrank(target, idx) == vertex
 
 
-def test_count_columns_grow_in_doubling_steps():
-    """Ids that reach one suffix length more each: columns grown by exactly
-    the length asked for would copy the whole column on each query, about
-    ten seconds here instead of a few tenths."""
+def test_count_columns_grow_once_per_position():
+    """Ids that reach one position further each: every query that passes the
+    columns' end appends to them, so each count is computed once and the
+    sweeps take a few tenths of a second."""
     q = 150_000
     warm = build_universal(q, 1, 2)
     ids = [warm._rank(1, [(p, 1)]) for p in range(q, 0, -1)][::-1]
