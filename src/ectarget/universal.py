@@ -109,9 +109,9 @@ class UniversalTarget:
         letter than k at position p are cols[b][p-1] - cols[b][p], so the
         words skipped by a run of k's telescope to one difference per run.
         """
-        if coords and coords[-1][0] >= len(self._cols[0]):
-            self._grow(coords[-1][0])
         cols = self._cols
+        if coords and coords[-1][0] >= len(cols[0]):
+            self._grow(coords[-1][0])
         acc = (lead - 1) * self.block
         b, rest = self.d, 0  # budget left, and the positions already placed
         for p, x in coords:
