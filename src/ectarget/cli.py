@@ -5,21 +5,21 @@ counterexample), 2 usage or input error, 3 size guard exceeded, 4 internal
 error: the program refused its own output. Commands that emit a constructed
 object always run the matching verifier first and raise AssertionError when
 it fails. Each ``_cmd_*`` handler returns (exit code, report, output text or
-None); ``main`` alone writes the ``--output`` file, on exit 0 and before the
-report, then prints the report, so stdout is empty on exit 2, 3 or 4.
+None); ``main`` alone renders the report, writes the ``--output`` file, then
+the report, so stdout is empty and no file is written on exit 2, 3 or 4.
 Identical inputs and seed produce byte-identical output. The environment
 variable ECTARGET_GUARD_OVERRIDE raises each of the eight size limits of
 ``Limits`` that is below the given integer to it (searches can then be very
 slow); only the commands that hit a limit read it. A search it lets run
 deeper than Python's recursion limit exits 3, as a guard would.
 
-``main`` flushes the report itself, so a closed stdout exits 2 with its
-message whether stdout is buffered or not; it returns its exit code and
-never ends the interpreter. ``app``, the ``ectarget`` console script and the
-``python -m ectarget.cli`` path, runs ``main``, then the ``atexit`` handlers,
-flushes stdout and stderr, ignoring a closed one, and ends the process with
-``os._exit(code)``, skipping interpreter finalization, which only frees what
-the OS reclaims anyway.
+``main`` refuses a closed descriptor 1 before it writes anything, then
+flushes the report itself, so a closed stdout exits 2 with its message,
+buffered or not; a closed pipe fails only after the ``--output`` file is
+written. ``main`` returns its exit code and never ends the interpreter.
+``app`` (the ``ectarget`` script and ``python -m ectarget.cli``) runs ``main``
+and the ``atexit`` handlers, flushes stdout and stderr, ignoring a closed one,
+and ends with ``os._exit(code)``: finalization frees only what the OS reclaims.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import sys
 from . import _EXPORTS, _HOME
 from .graphs import (
     LIMITS,
-    GraphFormatError,
     GuardExceeded,
     Limits,
     parse_edge_colored,
@@ -403,22 +402,22 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         code, report, text = args.handler(args)
+        if args.format == "json":
+            rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        else:
+            rendered = ""
+            for key, value in sorted(report.items()):
+                if isinstance(value, list):
+                    rendered += f"{key}:\n" + "".join(f"  {item}\n" for item in value)
+                else:
+                    rendered += f"{key}: {value}\n"
+        if sys.stdout is None:  # descriptor 1 is closed
+            raise OSError("stdout is closed")
         if text is not None and getattr(args, "output", None):
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        if args.format == "json":
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            for key in sorted(report):
-                value = report[key]
-                if isinstance(value, list):
-                    print(f"{key}:")
-                    for item in value:
-                        print(f"  {item}")
-                else:
-                    print(f"{key}: {value}")
-        if sys.stdout is not None:  # a closed pipe fails here, buffered or not
-            sys.stdout.flush()
+        sys.stdout.write(rendered)
+        sys.stdout.flush()  # a closed pipe fails here, buffered or not
         return code
     except (GuardExceeded, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -426,7 +425,7 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (GraphFormatError, OSError, ValueError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

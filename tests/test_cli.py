@@ -425,6 +425,11 @@ INPUT_REFUSALS = {
         {"tri.ecg": TRIANGLE_ECG},
         "map needs a compact target header file (JSON with q, d, k)",
     ),
+    "map-target-another-palette": (
+        ["map", "{}/tri.ecg", "--target", "{}/k3.json"],
+        {"tri.ecg": TRIANGLE_ECG, "k3.json": '{"q": 4, "d": 2, "k": 3}\n'},
+        "target palette k=3 does not match source k=2",
+    ),
     "oriented-k2": (
         ["out-color", "{}/e3.g", "--orientation", "{}/k2.or"],
         {"e3.g": "3 1 1\n0 1 1\n", "k2.or": "3 1 2\n0 1 1 >\n"},
@@ -754,6 +759,18 @@ def test_output_into_a_missing_directory_exits_two_before_any_report(tmp_path, c
     assert not missing.parent.exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_report_that_cannot_render_writes_no_output_file(tmp_path, capsys, fmt):
+    # the report's vertex_count has more digits than int-to-str conversion allows
+    out_file = tmp_path / "out"
+    argv = ["build-target", "--q", "100", "--d", "100", "--k", str(2**150), "--format", fmt]
+    assert cli.main([*argv, "--output", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Exceeds the limit")
+    assert not out_file.exists()
+
+
 def test_orient_refuses_an_orientation_above_d(tmp_path, capsys, monkeypatch):
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     into_centre = OrientedGraph(star, {(0, leaf): (leaf, 0) for leaf in (1, 2, 3)})
@@ -914,20 +931,31 @@ BROKEN_STDOUT_ENDINGS = {
     ("closed-pipe", "bounds planar --k 2"): (2, "error: [Errno 32] Broken pipe"),
     ("closed-pipe", "--help"): (0, ""),  # argparse ignores a failed help write
     ("closed-pipe", "bounds"): (2, MISSING_FAMILY),
-    ("closed-descriptor", "bounds planar --k 2"): (0, ""),  # print to no stdout writes nothing
+    ("closed-pipe", "map {}/tri.ecg --output {}/out"): (2, "error: [Errno 32] Broken pipe"),
+    ("closed-descriptor", "bounds planar --k 2"): (2, "error: stdout is closed"),
     ("closed-descriptor", "--help"): (0, "  -h, --help            show this help message and exit"),
     ("closed-descriptor", "bounds"): (2, MISSING_FAMILY),
+    ("closed-descriptor", "map {}/tri.ecg --output {}/out"): (2, "error: stdout is closed"),
 }
+BROKEN_STDOUT_ARGV = [
+    ["bounds", "planar", "--k", "2"],
+    ["--help"],
+    ["bounds"],
+    ["map", "{}/tri.ecg", "--output", "{}/out"],
+]
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("how", sorted(BROKEN_STDOUT))
-@pytest.mark.parametrize("argv", [["bounds", "planar", "--k", "2"], ["--help"], ["bounds"]], ids=" ".join)
-def test_a_broken_stdout_exits_as_a_normal_exit_does(how, buffered, argv):
+@pytest.mark.parametrize("argv", BROKEN_STDOUT_ARGV, ids=" ".join)
+def test_a_broken_stdout_exits_as_a_normal_exit_does(tmp_path, how, buffered, argv):
     # main flushes the report itself, so a closed pipe is one documented
-    # code and message whether stdout is block-buffered or not
+    # code and message whether stdout is block-buffered or not; only a
+    # closed pipe is found after the --output file is written
+    (tmp_path / "tri.ecg").write_text(TRIANGLE_ECG)
     env = entry_point_env(**({} if buffered else {"PYTHONUNBUFFERED": "1"}))
-    command = [sys.executable, "-c", "from ectarget import cli\ncli.app()\n", *argv]
+    arguments = [arg.replace("{}", str(tmp_path)) for arg in argv]
+    command = [sys.executable, "-c", "from ectarget import cli\ncli.app()\n", *arguments]
     command = ["sh", "-c", f'exec "$@" {BROKEN_STDOUT[how]}', "sh", *command]
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -938,3 +966,4 @@ def test_a_broken_stdout_exits_as_a_normal_exit_does(how, buffered, argv):
     stderr = done.stderr.decode()
     assert "Traceback" not in stderr
     assert (done.returncode, (stderr.splitlines() or [""])[-1]) == BROKEN_STDOUT_ENDINGS[how, " ".join(argv)]
+    assert (tmp_path / "out").exists() == (how == "closed-pipe" and "--output" in argv)

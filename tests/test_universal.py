@@ -138,6 +138,7 @@ SHORT = VertexColoring(2, [1])
 LIBRARY_REFUSALS = {
     "min-target-p-max-0": (lambda: min_universal_size([path(3)], 2, 0), "p_max must be at least 1, got 0"),
     "min-target-no-graphs": (lambda: min_universal_size([], 2, 2), "need at least one graph to search against"),
+    "min-target-k1": (lambda: min_universal_size([path(3)], 1, 2), "edge palette must satisfy k >= 2, got 1"),
     "homomorphism-short-coloring": (
         lambda: build_homomorphism(EdgeColoredGraph(ONE_EDGE, 2, {(0, 1): 1}), ONE_ARC, SHORT, build_universal(2, 1, 2)),
         "out-coloring must assign a color to every vertex",

@@ -140,6 +140,11 @@ def test_frozen(cls):
     assert repr(record) == text
 
 
+def test_a_record_refuses_the_wrong_number_of_fields():
+    with pytest.raises(TypeError, match=r"^Density takes the fields value, witness$"):
+        Density(1)
+
+
 @pytest.mark.parametrize(
     "record, name",
     [
