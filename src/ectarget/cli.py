@@ -237,7 +237,8 @@ def _cmd_map(args):
     else:
         _, oriented = min_orientation(graph)
     star = greedy_star_coloring(graph, seed=args.seed)
-    certificate = build_out_coloring(oriented, star)
+    # a fitted target needs only the rules for the source's own edge colors
+    certificate = build_out_coloring(oriented, star, None if args.target else source.colors)
     palette = certificate.coloring.palette
     if not args.target:
         target = build_universal(palette, oriented.max_in_degree, k, _limits())
@@ -420,14 +421,16 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe fails here, buffered or not
         return code
     except (GuardExceeded, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, exc
     except AssertionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        code, error = 4, exc
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, exc
+    try:
+        sys.stderr.write(f"error: {error}\n")
+    except (AttributeError, OSError):
+        pass  # descriptor 2 is closed (stderr may be None): the code alone tells
+    return code
 
 
 def app() -> None:

@@ -8,18 +8,29 @@ An out-coloring of an oriented graph satisfies three conditions:
 
 where a parent is the tail of an incoming edge and a grandparent sits two
 steps back along incoming edges. Restricted to the underlying graph, every
-out-coloring is a star coloring (and hence acyclic). ``verify_out_coloring``
-checks C1-C3; it is defined in ``universal``, beside ``build_homomorphism``,
-which checks its out-coloring with it too, and is importable from here.
+out-coloring is a star coloring (and hence acyclic). A homomorphism of one
+source with edge colors c needs only C1 and
 
-``build_out_coloring`` colors the C1-C3 conflicts directly in smallest-last
-order and emits that coloring when it fits the 2*d*s*s palette budget of the
-two-stage construction (a star coloring of the underlying graph paired with a
-greedy coloring of an auxiliary conflict digraph), which it builds only when
-the direct one does not fit. ``out_coloring_from_universal`` goes the
-other way: given any target graph that is universal for the underlying graph,
-it assembles an out-coloring from homomorphism images and a small conflict
-repair, within a (2d+1)*p^m budget.
+    C2' parents p and p' of u get different colors if c(u, p) != c(u, p'),
+    C3' u and a grandparent g reached through p get different colors if
+        c(p, g) < c(u, p),
+
+which every C1-C3 coloring satisfies. A fitted ``map`` asks for these;
+``map --target``, ``out-color`` and ``out_coloring_from_universal`` keep
+C1-C3. ``verify_out_coloring`` checks C1-C3, or C1, C2' and C3' when it is
+given edge colors; it is defined in ``universal``, beside
+``build_homomorphism``, which checks its out-coloring with it too, and is
+importable from here.
+
+``build_out_coloring`` colors the C1-C3 (or C1/C2'/C3') conflicts directly
+in smallest-last order and emits that coloring when it fits the 2*d*s*s
+palette budget of the two-stage construction (a star coloring of the
+underlying graph paired with a greedy coloring of an auxiliary conflict
+digraph), which it builds only when the direct one does not fit.
+``out_coloring_from_universal`` goes the other way: given any target graph
+that is universal for the underlying graph, it assembles an out-coloring
+from homomorphism images and a small conflict repair, within a (2d+1)*p^m
+budget.
 """
 
 from __future__ import annotations
@@ -81,18 +92,20 @@ def _flatten(tuples: list) -> VertexColoring:
     return VertexColoring(len(ranks), [ranks[t] for t in tuples])
 
 
-def _certify(oriented: OrientedGraph, tuples: list, budget: int, rule_counts: dict) -> OutColoringCertificate:
+def _certify(oriented: OrientedGraph, tuples: list, budget: int, rule_counts: dict, colors=None) -> OutColoringCertificate:
     """Flatten per-vertex colors and verify the result before returning it."""
     coloring = _flatten(tuples)
     if coloring.palette > budget:
         raise AssertionError("out-coloring palette exceeded its budget")
-    if not verify_out_coloring(oriented, coloring):
+    if not verify_out_coloring(oriented, coloring, colors):
         raise AssertionError("constructed out-coloring failed verification")
     return OutColoringCertificate(coloring, budget, rule_counts)
 
 
-def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColoringCertificate:
-    """Out-coloring from a star coloring of the underlying graph.
+def build_out_coloring(oriented: OrientedGraph, star: VertexColoring, colors=None) -> OutColoringCertificate:
+    """Out-coloring from a star coloring of the underlying graph, under
+    C1-C3, or under C1, C2' and C3' for the edge colors colors, aligned
+    with the graph's edges, when they are given.
 
     The budget comes from an auxiliary digraph on the vertex set, with two
     rules over triples (b, x, a) of vertices:
@@ -112,7 +125,8 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColo
     conflict graph within each star color class, since C1 pairs differ in
     star color, equal-colored C2 pairs are R1 pairs and equal-colored C3
     pairs are R2 pairs. The budget and rule counts describe the two-stage
-    construction either way.
+    construction either way. The C1/C2'/C3' conflicts are some of the
+    C1-C3 ones, so within a star color class they still fit that budget.
     """
     graph = oriented.graph
     if not verify_star(graph, star):
@@ -125,6 +139,13 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColo
     rule_counts = {}
     in_degrees = [0] * graph.n
     conflicts = []
+    if colors is not None:
+        # each vertex's parents and children grouped by the color of the edge
+        up, down = [{} for _ in parents], [{} for _ in parents]
+        for (u, v), head, c in zip(graph.edges, oriented.heads, colors):
+            tail = u if head == v else v
+            up[head].setdefault(c, []).append(tail)
+            down[tail].setdefault(c, []).append(head)
     for x, ps in enumerate(parents):
         cs = children[x]
         # R1 fires tally[c] - 1 times at each parent of star color c, R2 tally[c] at each child
@@ -139,21 +160,38 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring) -> OutColo
         # C1, C2 and C3 keep x apart from its parents and children, the other
         # parents of its children, its grandparents and its grandchildren
         near = {*ps, *cs}
-        for p in ps:
-            near.update(parents[p])
-        for c in cs:
-            near.update(parents[c])
-            near.update(children[c])
+        if colors is None:
+            for p in ps:
+                near.update(parents[p])
+            for c in cs:
+                near.update(parents[c])
+                near.update(children[c])
+        else:  # C2', C3': co-parents across edge colors, grandparents below, grandchildren above
+            for cx, group in up[x].items():
+                for p in group:
+                    for cg, grand in up[p].items():
+                        if cg < cx:
+                            near.update(grand)
+            for cx, group in down[x].items():
+                for c in group:
+                    for cy, co in up[c].items():
+                        if cy != cx:
+                            near.update(co)
+                    for cw, grand in down[c].items():
+                        if cw > cx:
+                            near.update(grand)
         near.discard(x)
         conflicts.append(tuple(near))  # a quarter of the set's size
     if max(in_degrees) > d * (s - 1):
         raise AssertionError("auxiliary digraph in-degree bound violated")
+    up = down = in_degrees = None  # each step below frees what it no longer needs
     budget = 2 * d * s * s
     tuples = _degeneracy_greedy(conflicts, graph.n)
     if max(tuples) > budget:
         same = [[a for a in near if col[a] == col[x]] for x, near in enumerate(conflicts)]
         tuples = list(zip(col, _degeneracy_greedy(same, 2 * d * s)))
-    return _certify(oriented, tuples, budget, rule_counts)
+    conflicts = same = None
+    return _certify(oriented, tuples, budget, rule_counts, colors)
 
 
 def out_coloring_from_universal(

@@ -171,23 +171,23 @@ def build_universal(q: int, d: int, k: int, limits: Limits = LIMITS) -> Universa
     return UniversalTarget(q, d, k, limits)
 
 
-def verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> bool:
-    """Check the out-coloring conditions C1, C2 and C3 (see ``out_coloring``)."""
+def verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring, colors=None) -> bool:
+    """Check the out-coloring conditions C1, C2 and C3, or C1, C2' and C3'
+    for the edge colors colors, aligned with the graph's edges, when they
+    are given (see ``out_coloring``), in two passes over the edges."""
     if len(coloring) != oriented.graph.n:
         return False
-    col = coloring.assign
-    for u, v in oriented.graph.edges:
-        if col[u] == col[v]:
+    col, edges, heads = coloring.assign, oriented.graph.edges, oriented.heads
+    first = [{} for _ in col]  # out color of a parent -> color of the edge from it
+    # C1, and C2', which is C2 when each edge counts as a color of its own
+    for (u, v), head, e in zip(edges, heads, itertools.count() if colors is None else colors):
+        if col[u] == col[v] or first[head].setdefault(col[u if head == v else v], e) != e:
             return False
-    parents = oriented.parents
-    for v, ps in enumerate(parents):
-        c = col[v]
-        if len(ps) > 1 and len({col[p] for p in ps}) < len(ps):
+    # C3 or C3': the parents of one out color now share one edge color
+    for (u, v), head, e in zip(edges, heads, colors or itertools.repeat(None)):
+        below = first[u if head == v else v].get(col[head])
+        if below is not None and (e is None or below < e):
             return False
-        for p in ps:
-            for gp in parents[p]:
-                if col[gp] == c:
-                    return False
     return True
 
 
@@ -200,10 +200,12 @@ def build_homomorphism(
     """Map a k-edge-colored graph into a tuple target along an out-coloring.
 
     Vertex u goes to (f(u), x_1, ..., x_q) where f is the out-coloring and
-    x_i records the color of the edge to u's parent colored i, defaulting to
-    k when no such parent exists. Condition C2 makes the parent colored i
-    unique, C1 separates endpoints, and C3 guarantees the matching coordinate
-    of the parent side stays k, so edge colors are preserved.
+    x_i records the color of the edge to u's parents colored i, defaulting
+    to k when no such parent exists. The out-coloring need only satisfy C1,
+    C2' and C3' for the source's edge colors: C2' gives u's parents colored i
+    one edge color, so their equal (position, value) pairs count once, C1
+    separates endpoints, and C3' keeps the matching coordinate of the parent
+    side at or above the edge's color, so edge colors are preserved.
     """
     graph = source.graph
     if oriented.graph != graph:
@@ -212,7 +214,7 @@ def build_homomorphism(
         raise ValueError(f"edge palette mismatch: source k={source.k}, target k={target.k}")
     if len(out_col) != graph.n:
         raise ValueError("out-coloring must assign a color to every vertex")
-    if not verify_out_coloring(oriented, out_col):
+    if not verify_out_coloring(oriented, out_col, source.colors):
         raise ValueError("coloring is not an out-coloring of the orientation")
     if out_col.palette > target.q:
         raise ValueError(f"out-coloring palette {out_col.palette} exceeds target q={target.q}")
@@ -223,7 +225,7 @@ def build_homomorphism(
     for (u, v), head, c in zip(graph.edges, oriented.heads, source.colors):
         if c != k:
             coords[head].append((col[u if head == v else v], c))
-    return Homomorphism(target._rank(col[u], sorted(pairs)) for u, pairs in enumerate(coords))
+    return Homomorphism(target._rank(col[u], sorted(set(pairs))) for u, pairs in enumerate(coords))
 
 
 def verify_homomorphism(source: EdgeColoredGraph, target, hom: Homomorphism) -> bool:

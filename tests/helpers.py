@@ -5,7 +5,8 @@ serve as independent ground truth: density by subset enumeration, density
 and orientations by flows on the edge/vertex network, orientation
 existence by pruned exhaustive assignment, star validity by the
 every-bicolored-component-is-a-star characterization, out-colorings as
-in-colorings of the transpose, tuple-target ids by a walk over every
+in-colorings of the transpose and, for given edge colors, by the
+two-edge paths through each vertex, tuple-target ids by a walk over every
 coordinate and letter, tuple-target edge colors on dense tuples,
 smallest-last order by a scan of every remaining vertex and by one heap of
 (degree, id) tuples in place of degree buckets, the two-stage out-coloring
@@ -109,6 +110,13 @@ def stacked_triangulation(n: int, seed: int) -> Graph:
         edges |= {tuple(sorted((a, v))), tuple(sorted((b, v))), tuple(sorted((c, v)))}
         faces += [(a, b, v), (a, c, v), (b, c, v)]
     return Graph(n, edges)
+
+
+def planted_clique(n: int, t: int, seed: int) -> Graph:
+    """Stacked triangulation plus a clique on t of its vertices, chosen at random."""
+    core = random.Random(seed).sample(range(n), t)
+    clique_edges = {tuple(sorted(pair)) for pair in itertools.combinations(core, 2)}
+    return Graph(n, clique_edges.union(stacked_triangulation(n, seed).edges))
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -334,6 +342,32 @@ def verify_in_coloring(oriented: OrientedGraph, coloring: VertexColoring) -> boo
                 eb = arcs[(b, mid) if b < mid else (mid, b)]
                 if ea != (a, mid) or eb != (b, mid):
                     return False
+    return True
+
+
+def paths_verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring, colors=None) -> bool:
+    """Out-coloring check over every two-edge path a, mid, b with equal end
+    colors: a proper coloring where no such path has both edges into mid
+    (C2) or runs a -> mid -> b (C3). Given edge colors, co-parents clash only
+    across two edge colors (C2') and a grandparent a of b only when
+    c(a, mid) < c(mid, b) (C3'). The reference for the library's verifier
+    with and without colors."""
+    if len(coloring) != oriented.graph.n:
+        return False
+    if any(coloring[u] == coloring[v] for u, v in oriented.graph.edges):
+        return False
+    arcs = arc_map(oriented)
+    color = dict(zip(oriented.graph.edges, colors)) if colors is not None else {}
+    for mid in range(oriented.graph.n):
+        for a, b in itertools.permutations(set(oriented.graph.adjacency[mid]), 2):
+            if coloring[a] != coloring[b]:
+                continue
+            ea, eb = (a, mid) if a < mid else (mid, a), (b, mid) if b < mid else (mid, b)
+            into_mid = arcs[ea] == (a, mid)
+            if into_mid and arcs[eb] == (b, mid) and (colors is None or color[ea] != color[eb]):
+                return False
+            if into_mid and arcs[eb] == (mid, b) and (colors is None or color[ea] < color[eb]):
+                return False
     return True
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -21,7 +22,7 @@ from ectarget.graphs import (
     serialize,
     serialize_graph,
 )
-from helpers import grid, path, random_coloring, recursion_limit, stacked_triangulation
+from helpers import grid, path, planted_clique, random_coloring, recursion_limit, stacked_triangulation
 from test_golden import write_inputs
 
 K4 = "4 6 1\n0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1\n2 3 1\n"
@@ -967,3 +968,50 @@ def test_a_broken_stdout_exits_as_a_normal_exit_does(tmp_path, how, buffered, ar
     assert "Traceback" not in stderr
     assert (done.returncode, (stderr.splitlines() or [""])[-1]) == BROKEN_STDOUT_ENDINGS[how, " ".join(argv)]
     assert (tmp_path / "out").exists() == (how == "closed-pipe" and "--output" in argv)
+
+
+# exit code -> (arguments with {} for the input directory, code run before the entry point)
+CLOSED_STDERR_CASES = {
+    2: (["density", "{}/missing.g"], ""),
+    3: (["density", "{}/huge.g"], ""),
+    4: (["star-color", "{}/c5.g"], "cli.verify_star = lambda *args: False\n"),
+}
+# how stderr is closed -> the shell redirection and the code run first: closed
+# before start-up, Python sets sys.stderr to None; after, a write raises OSError
+CLOSED_STDERR = {"before-start": ("2>&-", ""), "after-start": ("", "import os\nos.close(2)\n")}
+
+
+@pytest.mark.parametrize("how", sorted(CLOSED_STDERR))
+@pytest.mark.parametrize("code", sorted(CLOSED_STDERR_CASES))
+def test_a_closed_stderr_keeps_the_error_exit_code(tmp_path, code, how):
+    # the message cannot be written, so the code alone tells what failed
+    (tmp_path / "huge.g").write_text("1000000000 0 1\n")
+    (tmp_path / "c5.g").write_text(C5)
+    arguments, patch = CLOSED_STDERR_CASES[code]
+    redirection, closing = CLOSED_STDERR[how]
+    argv = [arg.replace("{}", str(tmp_path)) for arg in arguments]
+    command = [sys.executable, "-c", f"{closing}from ectarget import cli\n{patch}cli.app()\n", *argv]
+    command = ["sh", "-c", f'exec "$@" {redirection}', "sh", *command]
+    done = subprocess.run(command, env=entry_point_env(), capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (code, b"", b"")
+
+
+# input -> (out palette, log2 of the target's vertex count to one decimal) of
+# a fitted map, 3-edge-colored from random.Random(1); the C1-C3 rules that
+# map --target keeps gave (10, 13.5), (7, 9.4) and (23, 35.2)
+FITTED_TARGETS = {
+    "triangulation": (stacked_triangulation(220, 1), 8, 12.2),
+    "grid": (grid(13, 13), 5, 8.0),
+    "planted-clique": (planted_clique(260, 20, 1), 20, 32.6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FITTED_TARGETS))
+def test_a_fitted_target_follows_the_source_edge_colors(tmp_path, capsys, name):
+    graph, palette, log2 = FITTED_TARGETS[name]
+    f = tmp_path / "source.ecg"
+    f.write_text(serialize(random_coloring(graph, 3, random.Random(1))))
+    code, payload = run_json(capsys, "map", str(f))
+    assert code == 0
+    assert payload["out_palette"] == payload["target"]["q"] == palette
+    assert round(math.log2(payload["target"]["vertex_count"]), 1) == log2

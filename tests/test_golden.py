@@ -120,8 +120,8 @@ GOLDEN = {
     ],
     "map-fitted": [
         0,
-        "32afa6fda974c2378d9e31cc3c9c22e0c0a187fa2f3410eb3e6741cf783a2f68",
-        "2474e7e36009e31839a9768ec49f10a112f7f511ecc973a73d387fe6a4160459",
+        "be321512551f1d0b5457f82e5a72a192553fbcff26ca116dcfe16f970e05514c",
+        "cc77442fac8a291aefcf8e43d1143fce46e17e7d008eb901b7b99eb5ced977b2",
     ],
     "map-target-text": [
         0,

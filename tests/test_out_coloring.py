@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import oriented_graphs, oriented_with_coloring
+from conftest import edge_colored_graphs, oriented_graphs, oriented_with_coloring
 from ectarget.coloring import greedy_star_coloring, verify_acyclic, verify_star
 from ectarget import out_coloring
 from ectarget.density import find_orientation, min_orientation
@@ -21,15 +21,18 @@ from ectarget.out_coloring import (
     serialize_certificate,
     verify_out_coloring,
 )
-from ectarget.universal import build_universal, min_universal_size
+from ectarget.universal import build_homomorphism, build_universal, min_universal_size
 from helpers import (
     acceptance_corpus,
     aux_triples,
     clique,
+    dense_unrank,
     each_aux_triple,
+    edge_color,
     grid,
     pair_list_out_coloring,
     path,
+    paths_verify_out_coloring,
     random_graph,
     scan_degeneracy_greedy,
     stacked_triangulation,
@@ -79,6 +82,84 @@ def test_out_colorings_are_star_colorings(pair):
     if verify_out_coloring(og, col):
         assert verify_star(og.graph, col)
         assert verify_acyclic(og.graph, col)
+
+
+# the edge colors c(0, 1), c(1, 2) of the directed path 0 -> 1 -> 2, and
+# whether the coloring 1, 2, 1 (grandparent 0 colored as 2) keeps C3'
+GRANDPARENT_CASES = {(2, 1): True, (2, 2): True, (1, 2): False}
+# the edge colors c(0, 2), c(1, 2) of two parents 0 and 1 of vertex 2, and
+# whether the coloring 1, 1, 2 (equal parent colors) keeps C2'
+CO_PARENT_CASES = {(1, 1): True, (2, 2): True, (1, 2): False, (2, 1): False}
+
+
+def co_parents():
+    g = Graph(3, [(0, 2), (1, 2)])
+    return OrientedGraph(g, {(0, 2): (0, 2), (1, 2): (1, 2)})
+
+
+@pytest.mark.parametrize("colors", sorted(GRANDPARENT_CASES))
+def test_color_aware_check_keeps_a_grandparent_only_below_the_edge_to_it(colors):
+    # classic C3 refuses every such coloring; C3' only c(1, 0) < c(2, 1)
+    og, coloring = directed_path(3), VertexColoring(2, [1, 2, 1])
+    assert not verify_out_coloring(og, coloring)
+    assert verify_out_coloring(og, coloring, colors) is GRANDPARENT_CASES[colors]
+    assert paths_verify_out_coloring(og, coloring, colors) is GRANDPARENT_CASES[colors]
+
+
+@pytest.mark.parametrize("colors", sorted(CO_PARENT_CASES))
+def test_color_aware_check_keeps_co_parents_apart_only_across_edge_colors(colors):
+    og, coloring = co_parents(), VertexColoring(2, [1, 1, 2])
+    assert not verify_out_coloring(og, coloring)
+    assert verify_out_coloring(og, coloring, colors) is CO_PARENT_CASES[colors]
+    assert paths_verify_out_coloring(og, coloring, colors) is CO_PARENT_CASES[colors]
+
+
+@pytest.mark.parametrize(
+    "og, colors, assign", [(directed_path(3), (2, 1), [1, 2, 1]), (co_parents(), (1, 1), [1, 1, 2])], ids=["path", "co-parents"]
+)
+def test_a_coloring_that_keeps_only_the_color_aware_rules_maps(og, colors, assign):
+    source = EdgeColoredGraph(og.graph, 2, dict(zip(og.graph.edges, colors)))
+    coloring = VertexColoring(2, assign)
+    target = build_universal(2, og.max_in_degree, 2)
+    hom = build_homomorphism(source, og, coloring, target)
+    assert all(edge_color(dense_unrank(target, hom[u]), dense_unrank(target, hom[v])) == c
+               for (u, v), c in zip(og.graph.edges, colors))
+
+
+@st.composite
+def oriented_with_edge_colors(draw):
+    """An oriented graph, edge colors in 1..3 and a vertex coloring in 1..4,
+    proper where the colors left allow, so that C2' and C3' decide often."""
+    oriented = draw(oriented_graphs(max_n=7))
+    assign = []
+    for v, nbrs in enumerate(oriented.graph.adjacency):
+        free = {1, 2, 3, 4}.difference(assign[w] for w in nbrs if w < v)
+        assign.append(draw(st.sampled_from(sorted(free) or [1])))
+    colors = tuple(draw(st.integers(1, 3)) for _ in oriented.graph.edges)
+    return oriented, VertexColoring(max(assign), assign), colors
+
+
+@given(oriented_with_edge_colors())
+@settings(max_examples=300)
+def test_out_coloring_check_matches_the_two_edge_paths(case):
+    og, coloring, colors = case
+    assert verify_out_coloring(og, coloring) == paths_verify_out_coloring(og, coloring)
+    assert verify_out_coloring(og, coloring, colors) == paths_verify_out_coloring(og, coloring, colors)
+    if verify_out_coloring(og, coloring):
+        assert verify_out_coloring(og, coloring, colors)
+
+
+@given(edge_colored_graphs(max_n=9, max_k=3), st.integers(0, 1000))
+@settings(max_examples=300)
+def test_every_fitted_map_of_a_colored_graph_verifies_within_its_budget(source, seed):
+    _, og = min_orientation(source.graph)
+    star = greedy_star_coloring(source.graph, seed=seed)
+    cert = build_out_coloring(og, star, source.colors)
+    assert cert.coloring.palette <= cert.budget == max(1, 2 * og.max_in_degree * star.palette**2)
+    assert paths_verify_out_coloring(og, cert.coloring, source.colors)
+    target = build_universal(cert.coloring.palette, og.max_in_degree, source.k)
+    images = [dense_unrank(target, i) for i in build_homomorphism(source, og, cert.coloring, target).mapping]
+    assert all(edge_color(images[u], images[v]) == c for (u, v), c in zip(source.graph.edges, source.colors))
 
 
 def test_build_out_coloring_single_edge():

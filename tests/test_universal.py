@@ -385,6 +385,19 @@ def test_build_homomorphism_counts_non_default_coordinates():
     assert verify_homomorphism(source, target, hom)
 
 
+def test_build_homomorphism_counts_a_shared_parent_color_and_edge_color_once():
+    # C2' lets parents 0 and 1 share an out color when their edges to 2 share
+    # an edge color, so 2 has one non-k coordinate from two equal pairs
+    g = Graph(3, [(0, 2), (1, 2)])
+    source = EdgeColoredGraph(g, 2, {(0, 2): 1, (1, 2): 1})
+    oriented = OrientedGraph(g, {(0, 2): (0, 2), (1, 2): (1, 2)})
+    target = build_universal(2, 2, 2)
+    hom = build_homomorphism(source, oriented, VertexColoring(2, [1, 1, 2]), target)
+    assert hom[0] == hom[1] == dense_rank(target, (1, 2, 2))
+    assert dense_unrank(target, hom[2]) == (2, 1, 2)
+    assert verify_homomorphism(source, target, hom)
+
+
 def test_build_homomorphism_full_triangle_pipeline():
     g = clique(3)
     source = EdgeColoredGraph(g, 2, {(0, 1): 1, (0, 2): 1, (1, 2): 2})
