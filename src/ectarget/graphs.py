@@ -348,7 +348,11 @@ class Homomorphism(Value):
     _fields = ("mapping",)
 
     def __init__(self, mapping: Iterable[int]):
-        super().__init__(tuple(mapping))
+        mapping = tuple(mapping)
+        for u, i in enumerate(mapping):
+            if not isinstance(i, int):
+                raise ValueError(f"vertex {u} mapped to {i!r}, not an integer id")
+        super().__init__(mapping)
 
     def __getitem__(self, v: int) -> int:
         return self.mapping[v]
@@ -495,4 +499,4 @@ def parse_homomorphism(text: str) -> Homomorphism:
     n = len(entries)
     if set(entries) != set(range(n)):
         raise GraphFormatError("homomorphism lines must cover vertex ids 0..n-1 exactly once")
-    return Homomorphism(entries[u] for u in range(n))
+    return Homomorphism._trusted(tuple(entries[u] for u in range(n)))

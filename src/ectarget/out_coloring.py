@@ -129,6 +129,8 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring, colors=Non
     C1-C3 ones, so within a star color class they still fit that budget.
     """
     graph = oriented.graph
+    if colors is not None and len(colors) != graph.m:
+        raise ValueError(f"expected {graph.m} edge colors, one per edge, got {len(colors)}")
     if not verify_star(graph, star):
         raise ValueError("star coloring failed verification")
     d = oriented.max_in_degree
@@ -140,12 +142,12 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring, colors=Non
     in_degrees = [0] * graph.n
     conflicts = []
     if colors is not None:
-        # each vertex's parents and children grouped by the color of the edge
-        up, down = [{} for _ in parents], [{} for _ in parents]
+        # each vertex's (parent, edge color) and (child, edge color) pairs
+        up, down = [[] for _ in parents], [[] for _ in parents]
         for (u, v), head, c in zip(graph.edges, oriented.heads, colors):
             tail = u if head == v else v
-            up[head].setdefault(c, []).append(tail)
-            down[tail].setdefault(c, []).append(head)
+            up[head].append((tail, c))
+            down[tail].append((head, c))
     for x, ps in enumerate(parents):
         cs = children[x]
         # R1 fires tally[c] - 1 times at each parent of star color c, R2 tally[c] at each child
@@ -166,20 +168,10 @@ def build_out_coloring(oriented: OrientedGraph, star: VertexColoring, colors=Non
             for c in cs:
                 near.update(parents[c])
                 near.update(children[c])
-        else:  # C2', C3': co-parents across edge colors, grandparents below, grandchildren above
-            for cx, group in up[x].items():
-                for p in group:
-                    for cg, grand in up[p].items():
-                        if cg < cx:
-                            near.update(grand)
-            for cx, group in down[x].items():
-                for c in group:
-                    for cy, co in up[c].items():
-                        if cy != cx:
-                            near.update(co)
-                    for cw, grand in down[c].items():
-                        if cw > cx:
-                            near.update(grand)
+        else:  # C3' grandparents below, C2' co-parents across edge colors, C3' grandchildren above
+            near.update([g for p, cx in up[x] for g, cg in up[p] if cg < cx])
+            near.update([y for c, cx in down[x] for y, cy in up[c] if cy != cx])
+            near.update([w for c, cx in down[x] for w, cw in down[c] if cw > cx])
         near.discard(x)
         conflicts.append(tuple(near))  # a quarter of the set's size
     if max(in_degrees) > d * (s - 1):

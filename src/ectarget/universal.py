@@ -175,6 +175,8 @@ def verify_out_coloring(oriented: OrientedGraph, coloring: VertexColoring, color
     """Check the out-coloring conditions C1, C2 and C3, or C1, C2' and C3'
     for the edge colors colors, aligned with the graph's edges, when they
     are given (see ``out_coloring``), in two passes over the edges."""
+    if colors is not None and len(colors) != oriented.graph.m:
+        raise ValueError(f"expected {oriented.graph.m} edge colors, one per edge, got {len(colors)}")
     if len(coloring) != oriented.graph.n:
         return False
     col, edges, heads = coloring.assign, oriented.graph.edges, oriented.heads
@@ -225,7 +227,7 @@ def build_homomorphism(
     for (u, v), head, c in zip(graph.edges, oriented.heads, source.colors):
         if c != k:
             coords[head].append((col[u if head == v else v], c))
-    return Homomorphism(target._rank(col[u], sorted(set(pairs))) for u, pairs in enumerate(coords))
+    return Homomorphism._trusted(tuple(target._rank(col[u], sorted(set(pairs))) for u, pairs in enumerate(coords)))
 
 
 def verify_homomorphism(source: EdgeColoredGraph, target, hom: Homomorphism) -> bool:
@@ -302,7 +304,7 @@ def find_homomorphism(source: EdgeColoredGraph, target, limits: Limits = LIMITS)
     assigned = [-1] * graph.n
     everything = frozenset(range(target.graph.n))
     if _extend(graph.edge_slots, source.colors, target.by_color, dict.fromkeys(range(graph.n), everything), assigned):
-        return Homomorphism(assigned)
+        return Homomorphism._trusted(tuple(assigned))
     return None
 
 
@@ -374,7 +376,7 @@ def check_universal(
                 break
         else:
             return None
-    return EdgeColoredGraph(graph, k, dict(zip(edges, colors)))
+    return EdgeColoredGraph._trusted(graph, k, colors)
 
 
 def _canonical_words(length: int, letters: range, vertex_maps, relabel: bool):

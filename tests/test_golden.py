@@ -12,7 +12,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +235,20 @@ def results(tmp_path_factory):
 @pytest.mark.parametrize("name", [case[0] for case in CASES])
 def test_cli_output_matches_recorded_digest(results, name):
     assert results[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "12345"])
+def test_every_digest_holds_under_another_hash_seed(tmp_path, seed):
+    """Set and dict iteration follow the string hash seed, so every case runs
+    again in a fresh interpreter under each seed and must match GOLDEN."""
+    src, here = Path(cli.__file__).resolve().parents[1], Path(__file__).resolve().parent
+    probe = "import json, pathlib, sys, test_golden; print(json.dumps(test_golden.run_all(pathlib.Path(sys.argv[1]))))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path)],
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join([str(src), str(here)])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == GOLDEN

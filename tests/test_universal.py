@@ -134,6 +134,9 @@ def test_min_universal_size_rejects_non_integer_arguments():
 ONE_EDGE = Graph(2, [(0, 1)])
 ONE_ARC = OrientedGraph(ONE_EDGE, {(0, 1): (0, 1)})
 SHORT = VertexColoring(2, [1])
+# the oriented path 0 -> 1 -> 2, with an improper out-coloring: 1 and 2 share a color
+PATH_ARCS = OrientedGraph(path(3), {(0, 1): (0, 1), (1, 2): (1, 2)})
+IMPROPER = VertexColoring(2, [1, 2, 2])
 # case -> (a library call, the ValueError message it raises)
 LIBRARY_REFUSALS = {
     "min-target-p-max-0": (lambda: min_universal_size([path(3)], 2, 0), "p_max must be at least 1, got 0"),
@@ -155,6 +158,23 @@ LIBRARY_REFUSALS = {
     "arc-map-names-an-edge-twice": (
         lambda: OrientedGraph(ONE_EDGE, {(0, 1): (0, 1), (1, 0): (1, 0)}),
         "edge 0 1 oriented twice",
+    ),
+    # zipped with the edges, a short tuple would leave every edge past its end unchecked
+    "out-coloring-check-no-edge-colors": (
+        lambda: verify_out_coloring(PATH_ARCS, IMPROPER, ()),
+        "expected 2 edge colors, one per edge, got 0",
+    ),
+    "out-coloring-check-short-edge-colors": (
+        lambda: verify_out_coloring(PATH_ARCS, IMPROPER, (1,)),
+        "expected 2 edge colors, one per edge, got 1",
+    ),
+    "out-coloring-no-edge-colors": (
+        lambda: build_out_coloring(PATH_ARCS, VertexColoring(2, [1, 2, 1]), ()),
+        "expected 2 edge colors, one per edge, got 0",
+    ),
+    "out-coloring-short-edge-colors": (
+        lambda: build_out_coloring(PATH_ARCS, VertexColoring(2, [1, 2, 1]), (1,)),
+        "expected 2 edge colors, one per edge, got 1",
     ),
 }
 
@@ -409,20 +429,23 @@ def test_build_homomorphism_full_triangle_pipeline():
     assert verify_homomorphism(source, target, hom)
 
 
-def test_map_pipeline_keeps_a_few_hundred_bytes_per_edge():
+@pytest.mark.parametrize("colored, bound", [(False, 320), (True, 400)])
+def test_map_pipeline_keeps_a_few_hundred_bytes_per_edge(colored, bound):
     """map's stages in process, traced from the file text to the verified
     homomorphism. Per-edge colors and heads are tuples aligned with the
     edges, each conflict set is a tuple and the parsed edges share one int
     per vertex id, so the peak stays near 300 bytes per edge here; an int
     per endpoint occurrence took about 335, and edge-keyed dicts and
-    conflict sets about 770."""
+    conflict sets about 770. The color-aware rules of a fitted map add
+    (neighbor, edge color) pairs per vertex, for about 375; per-color
+    dicts of neighbor lists took about 430."""
     text = serialize(random_coloring(stacked_triangulation(5000, seed=1), 3, random.Random(1)))
     tracemalloc.start()
     try:
         source = parse_edge_colored(text)
         oriented = find_orientation(source.graph, 3)
         star = greedy_star_coloring(source.graph)
-        coloring = build_out_coloring(oriented, star).coloring
+        coloring = build_out_coloring(oriented, star, source.colors if colored else None).coloring
         target = build_universal(coloring.palette, 3, 3)
         verified = verify_homomorphism(source, target, build_homomorphism(source, oriented, coloring, target))
         peak = tracemalloc.get_traced_memory()[1]
@@ -430,7 +453,7 @@ def test_map_pipeline_keeps_a_few_hundred_bytes_per_edge():
         tracemalloc.stop()
     assert verified
     m = source.graph.m
-    assert peak <= 320 * m, f"{peak / m:.0f} bytes per edge"
+    assert peak <= bound * m, f"{peak / m:.0f} bytes per edge"
 
 
 def test_build_homomorphism_named_precondition_errors():
@@ -493,6 +516,16 @@ def test_verify_homomorphism_rejects_an_id_outside_a_tuple_target(image):
     source = EdgeColoredGraph(Graph(2, [(0, 1)]), 2, {(0, 1): 1})
     with pytest.raises(ValueError, match="outside 0..5"):
         verify_homomorphism(source, build_universal(2, 1, 2), Homomorphism([0, image]))
+
+
+@pytest.mark.parametrize("images", [[2.0, 5.0], [2.5, 5]])
+def test_a_homomorphism_refuses_a_non_integer_image(images):
+    # a tuple target would verify 2.0 as 2 and never finish unranking 2.5
+    source = EdgeColoredGraph(Graph(2, [(0, 1)]), 2, {(0, 1): 2})
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^vertex 0 mapped to {images[0]}, not an integer id$"):
+        verify_homomorphism(source, build_universal(2, 1, 2), Homomorphism(images))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_homomorphism_rejects_a_palette_mismatch():
@@ -834,16 +867,22 @@ def test_check_universal_seeks_no_automorphisms_for_a_failing_all_one_coloring_o
 
 @contextlib.contextmanager
 def counting_colored_graphs():
-    """Yield the list of EdgeColoredGraph objects built meanwhile."""
+    """Yield the list of EdgeColoredGraph objects built meanwhile, by the
+    checking constructor or by _trusted."""
     built = []
-    init = EdgeColoredGraph.__init__
+    init, trusted = EdgeColoredGraph.__init__, EdgeColoredGraph._trusted
 
     def counted(self, *args):
         init(self, *args)
         built.append(self)
 
+    def counted_trusted(*values):
+        built.append(trusted(*values))
+        return built[-1]
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(EdgeColoredGraph, "__init__", counted)
+        patch.setattr(EdgeColoredGraph, "_trusted", staticmethod(counted_trusted))
         yield built
 
 
